@@ -18,9 +18,9 @@
 //!
 //! Request parsing is bounded by the shared [`crate::http`] foundation:
 //! request heads larger than 8 KiB are rejected with `431` before any
-//! allocation proportional to attacker input. The accept loop runs
-//! non-blocking with a 10 ms poll so dropping the [`AdminServer`] shuts
-//! it down promptly.
+//! allocation proportional to attacker input. The accept loop blocks in
+//! `accept()`; dropping the [`AdminServer`] wakes it with one loopback
+//! connect, so it shuts down promptly.
 //!
 //! The route dispatcher is exported as [`admin_response`] so other HTTP
 //! surfaces (the `asterix-server` query/ingest service) can mount the

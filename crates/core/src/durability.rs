@@ -228,14 +228,22 @@ impl PartitionDurability {
         self.wal.wait_durable(lsn)
     }
 
+    /// Enqueue a batch of operations into one group commit, returning the
+    /// LSN of the last without waiting for the fsync; see
+    /// [`Self::submit`]. A batch commits or fails as a whole, so waiting
+    /// on the last LSN settles all of it. Panics when `ops` is empty.
+    pub fn submit_many(&self, ops: &[WalOp]) -> Result<u64, IoError> {
+        let encoded: Vec<Vec<u8>> = ops.iter().map(WalOp::encode).collect();
+        self.wal.submit_many(encoded.iter().map(|b| b.as_slice()))
+    }
+
     /// Append a batch of operations as one group commit; returns the LSN
     /// of the last. No-op returning the current durable LSN when empty.
     pub fn log_many(&self, ops: &[WalOp]) -> Result<u64, IoError> {
         if ops.is_empty() {
             return Ok(self.wal.durable_lsn());
         }
-        let encoded: Vec<Vec<u8>> = ops.iter().map(WalOp::encode).collect();
-        self.wal.append_many(encoded.iter().map(|b| b.as_slice()))
+        self.wait_durable(self.submit_many(ops)?)
     }
 
     /// Acquire the partition's commit lock. Callers must hold the

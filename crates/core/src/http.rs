@@ -16,18 +16,22 @@
 //!   handler emit result frames as they are produced without ever
 //!   materializing the full body.
 //! * [`HttpServer`]: the accept loop — one detached thread per
-//!   connection (`Connection: close`), non-blocking accept with a 10 ms
-//!   poll so dropping the server unbinds promptly.
+//!   connection (`Connection: close`) behind a blocking `accept()`, so an
+//!   idle server costs a request no wait; shutting down (or dropping) the
+//!   server wakes the loop with one loopback connect and unbinds promptly.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// Accept-loop poll interval while no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// Pause after a failed `accept()` before trying again.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
+
+/// Bound on the loopback connect that wakes the accept loop at shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Size and time bounds applied to every connection before the handler
 /// runs.
@@ -190,19 +194,7 @@ impl<'a> ResponseWriter<'a> {
         content_type: &str,
         extra_headers: &[(&str, String)],
     ) -> std::io::Result<ChunkedBody<'_>> {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n",
-            status,
-            status_text(status),
-            content_type,
-        );
-        for (name, value) in extra_headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
+        let head = response_head(status, content_type, CHUNKED, extra_headers);
         self.stream.write_all(head.as_bytes())?;
         self.streamed = true;
         Ok(ChunkedBody {
@@ -226,22 +218,9 @@ impl<'a> ResponseWriter<'a> {
         content_type: &str,
         extra_headers: &[(&str, String)],
     ) -> std::io::Result<StreamHandle> {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n",
-            status,
-            status_text(status),
-            content_type,
-        );
-        for (name, value) in extra_headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
         Ok(StreamHandle {
             stream: self.stream.try_clone()?,
-            head,
+            head: response_head(status, content_type, CHUNKED, extra_headers),
             started: false,
             finished: false,
         })
@@ -281,14 +260,11 @@ impl StreamHandle {
         if bytes.is_empty() {
             return Ok(());
         }
-        if !self.started {
-            self.stream.write_all(self.head.as_bytes())?;
-            self.started = true;
-        }
-        write!(self.stream, "{:x}\r\n", bytes.len())?;
-        self.stream.write_all(bytes)?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
+        // The head rides in the first frame's write; from here on the
+        // status line may be on the wire, even if that write fails.
+        let head = if self.started { "" } else { self.head.as_str() };
+        self.started = true;
+        self.stream.write_all(&chunk_frame(head, bytes))
     }
 
     /// Terminate the body (zero-length chunk) if it started. Idempotent.
@@ -331,10 +307,7 @@ impl ChunkedBody<'_> {
         if bytes.is_empty() {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", bytes.len())?;
-        self.stream.write_all(bytes)?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
+        self.stream.write_all(&chunk_frame("", bytes))
     }
 
     /// Terminate the body (zero-length chunk). Idempotent.
@@ -380,15 +353,21 @@ impl HttpServer {
         H: Fn(&Request, &mut ResponseWriter<'_>) -> Option<Response> + Send + Sync + 'static,
     {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
         let handler = Arc::new(handler);
         let conn_name = format!("{name}-conn");
         let accept_thread = thread::Builder::new().name(name.to_string()).spawn(move || {
-            while !flag.load(Ordering::SeqCst) {
-                match listener.accept() {
+            loop {
+                let accepted = listener.accept();
+                // Checked after every wake-up, before the connection is
+                // served: the one that wakes the loop for shutdown is
+                // dropped, not handed a thread.
+                if flag.load(Ordering::SeqCst) {
+                    break;
+                }
+                match accepted {
                     Ok((stream, _peer)) => {
                         let handler = Arc::clone(&handler);
                         let limits = limits.clone();
@@ -399,10 +378,10 @@ impl HttpServer {
                             .name(conn_name.clone())
                             .spawn(move || handle_connection(stream, &limits, &*handler));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => thread::sleep(ACCEPT_POLL),
+                    // Persistent failures (out of descriptors) must not
+                    // spin; transient ones (a peer reset before accept)
+                    // lose nothing by the pause.
+                    Err(_) => thread::sleep(ACCEPT_ERROR_PAUSE),
                 }
             }
         })?;
@@ -426,8 +405,23 @@ impl HttpServer {
     /// Stop accepting connections and join the accept thread. Called
     /// automatically on drop; idempotent.
     pub fn shutdown(&mut self) {
+        let Some(t) = self.accept_thread.take() else {
+            return;
+        };
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
+        // The accept thread blocks in `accept()`: one loopback connect
+        // returns it to the flag check. A wildcard bind is reached
+        // through loopback of the same family. If the connect fails the
+        // thread is left detached rather than joined forever; it exits on
+        // the next connection.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        if TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_ok() {
             let _ = t.join();
         }
     }
@@ -555,25 +549,59 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(2).position(|w| w == b"\n\n").map(|i| i + 2)
 }
 
-/// Write one complete response with `Content-Length`.
-pub fn write_response(stream: &mut TcpStream, r: &Response) -> std::io::Result<()> {
+/// The framing header of a chunked response.
+const CHUNKED: &str = "Transfer-Encoding: chunked";
+
+/// Status line and headers of a response, through the blank line.
+/// `framing` is the header that delimits the body: [`CHUNKED`] or a
+/// `Content-Length`.
+fn response_head(
+    status: u16,
+    content_type: &str,
+    framing: &str,
+    extra_headers: &[(&str, String)],
+) -> String {
     let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        r.status,
-        status_text(r.status),
-        r.content_type,
-        r.body.len()
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n{}\r\nConnection: close\r\n",
+        status,
+        status_text(status),
+        content_type,
+        framing,
     );
-    for (name, value) in &r.extra_headers {
+    for (name, value) in extra_headers {
         head.push_str(name);
         head.push_str(": ");
         head.push_str(value);
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(r.body.as_bytes())?;
-    stream.flush()
+    head
+}
+
+/// One chunk frame — size line, payload, CRLF — after `prefix`, in one
+/// buffer: a frame written in pieces to a `TCP_NODELAY` socket costs a
+/// syscall, and possibly a segment, per piece.
+fn chunk_frame(prefix: &str, payload: &[u8]) -> Vec<u8> {
+    let size_line = format!("{:x}\r\n", payload.len());
+    let mut frame = Vec::with_capacity(prefix.len() + size_line.len() + payload.len() + 2);
+    frame.extend_from_slice(prefix.as_bytes());
+    frame.extend_from_slice(size_line.as_bytes());
+    frame.extend_from_slice(payload);
+    frame.extend_from_slice(b"\r\n");
+    frame
+}
+
+/// Write one complete response with `Content-Length`, head and body in
+/// one socket write.
+pub fn write_response(stream: &mut TcpStream, r: &Response) -> std::io::Result<()> {
+    let mut out = response_head(
+        r.status,
+        r.content_type,
+        &format!("Content-Length: {}", r.body.len()),
+        &r.extra_headers,
+    );
+    out.push_str(&r.body);
+    stream.write_all(out.as_bytes())
 }
 
 #[cfg(test)]
@@ -620,6 +648,46 @@ mod tests {
 
         let missing = http_roundtrip(addr, "GET /other HTTP/1.1\r\n\r\n");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+    }
+
+    /// The accept loop blocks in `accept()`; shutdown has to wake it
+    /// itself — no client connection ever will.
+    #[test]
+    fn shutdown_is_prompt_without_any_client() {
+        let mut server =
+            HttpServer::bind("127.0.0.1:0", "t", HttpLimits::default(), |_req, _w| None).unwrap();
+        let addr = server.local_addr();
+        let started = std::time::Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(100), "{took:?}");
+        // Joined, so the listener is gone with its thread.
+        assert!(TcpStream::connect(addr).is_err());
+        server.shutdown(); // idempotent
+    }
+
+    /// An idle server costs a request no wait: the median round trip is
+    /// far below the 10 ms an accept poll used to add on average half of.
+    #[test]
+    fn idle_server_answers_without_a_poll_wait() {
+        let server = HttpServer::bind("127.0.0.1:0", "t", HttpLimits::default(), |_req, _w| {
+            Some(Response::text(200, "ok".into()))
+        })
+        .unwrap();
+        let addr = server.local_addr();
+        let mut round_trips = Vec::new();
+        // One idle second first, then idles that differ by 1 ms, so a
+        // periodic wake-up in the server would be met at every phase.
+        for idle_ms in std::iter::once(1000).chain(30..40) {
+            thread::sleep(Duration::from_millis(idle_ms));
+            let started = std::time::Instant::now();
+            let r = http_roundtrip(addr, "GET / HTTP/1.1\r\n\r\n");
+            round_trips.push(started.elapsed());
+            assert!(r.starts_with("HTTP/1.1 200"), "{r}");
+        }
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(median < Duration::from_millis(3), "{round_trips:?}");
     }
 
     #[test]

@@ -681,44 +681,77 @@ impl Instance {
         self.commit_all_manifests()
     }
 
-    /// Insert one record, hash-routed to its partition by primary key.
+    /// Insert one record, hash-routed to its partition by primary key:
+    /// [`Instance::insert_batch`] of one.
     pub fn insert(&self, dataset: &str, record: Value) -> Result<(), CoreError> {
-        let (key, partition) = {
-            let catalog = self.catalog.read();
-            let def = catalog
-                .dataset(dataset)
-                .ok_or_else(|| CoreError::Schema(format!("unknown dataset '{dataset}'")))?;
-            let key = def.key_of(&record)?;
-            let p = def.partition_of(&key, self.config.num_partitions);
-            (key, p)
-        };
-        let _ = key;
-        let mut set = self.ctx.partitions[partition].write();
-        let store = set
-            .store_mut(dataset)
-            .ok_or_else(|| CoreError::Schema(format!("dataset '{dataset}' missing")))?;
+        self.insert_batch(dataset, vec![record])
+    }
+
+    /// Insert a batch of records, each hash-routed to its partition by
+    /// primary key, with one WAL group commit per partition touched.
+    ///
+    /// Every record is routed before anything is written, so a record
+    /// without the primary key fails the batch with nothing applied.
+    /// Records of one partition keep their order (a later record of the
+    /// same key overwrites an earlier one).
+    pub fn insert_batch(&self, dataset: &str, records: Vec<Value>) -> Result<(), CoreError> {
+        let buckets = self.route(dataset, records)?;
         // WAL first: LSN assignment and the memory-component apply happen
-        // atomically under the partition lock, but the fsync wait happens
-        // *after* the lock is released so concurrent writers share one
-        // group commit. `Ok` still means the write survives any crash.
-        // `Err` is at-least-once territory (see the `durability` module
-        // docs): a failed apply after the submit leaves a WAL record the
-        // next restart replays, and a failed wait leaves the record
-        // visible in memory until a restart discards it with its batch.
-        let lsn = match &self.durability {
-            Some(dur) => Some(dur.partitions[partition].submit(&WalOp::Insert {
-                dataset: dataset.to_string(),
-                record: record.clone(),
-            })?),
-            None => None,
-        };
-        store.insert(record)?;
-        drop(set);
-        if let Some(lsn) = lsn {
-            self.durability.as_ref().expect("checked above").partitions[partition]
-                .wait_durable(lsn)?;
+        // atomically under the partition lock, but the fsync waits happen
+        // *after* every lock is released, so a partition's share of the
+        // batch is one group commit and concurrent writers share it.
+        // `Ok` still means every record survives any crash. `Err` is
+        // at-least-once territory (see the `durability` module docs): a
+        // failed apply after the submit leaves WAL records the next
+        // restart replays, and a failed wait leaves records visible in
+        // memory until a restart discards them with their WAL batch.
+        let mut submitted = Vec::new();
+        for (partition, bucket) in buckets.into_iter().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            let mut set = self.ctx.partitions[partition].write();
+            let store = set
+                .store_mut(dataset)
+                .ok_or_else(|| CoreError::Schema(format!("dataset '{dataset}' missing")))?;
+            if let Some(dur) = &self.durability {
+                let ops: Vec<WalOp> = bucket
+                    .iter()
+                    .map(|record| WalOp::Insert {
+                        dataset: dataset.to_string(),
+                        record: record.clone(),
+                    })
+                    .collect();
+                let pd = &dur.partitions[partition];
+                submitted.push((pd, pd.submit_many(&ops)?));
+            }
+            for record in bucket {
+                store.insert(record)?;
+            }
+        }
+        for (pd, last_lsn) in submitted {
+            pd.wait_durable(last_lsn)?;
         }
         Ok(())
+    }
+
+    /// Bucket `records` by the partition their primary key hashes to,
+    /// keeping arrival order within a bucket.
+    fn route(
+        &self,
+        dataset: &str,
+        records: impl IntoIterator<Item = Value>,
+    ) -> Result<Vec<Vec<Value>>, CoreError> {
+        let catalog = self.catalog.read();
+        let def = catalog
+            .dataset(dataset)
+            .ok_or_else(|| CoreError::Schema(format!("unknown dataset '{dataset}'")))?;
+        let mut buckets = vec![Vec::new(); self.config.num_partitions];
+        for record in records {
+            let key = def.key_of(&record)?;
+            buckets[def.partition_of(&key, self.config.num_partitions)].push(record);
+        }
+        Ok(buckets)
     }
 
     /// Delete a record by primary key (tombstoned in the LSM components;
@@ -760,24 +793,9 @@ impl Instance {
         dataset: &str,
         records: impl IntoIterator<Item = Value>,
     ) -> Result<u64, CoreError> {
-        let def = {
-            let catalog = self.catalog.read();
-            catalog
-                .dataset(dataset)
-                .ok_or_else(|| CoreError::Schema(format!("unknown dataset '{dataset}'")))?
-                .clone()
-        };
         // Partition the batch, then insert per partition in parallel.
-        let mut buckets: Vec<Vec<Value>> = (0..self.config.num_partitions)
-            .map(|_| Vec::new())
-            .collect();
-        let mut n = 0u64;
-        for rec in records {
-            let key = def.key_of(&rec)?;
-            let p = def.partition_of(&key, self.config.num_partitions);
-            buckets[p].push(rec);
-            n += 1;
-        }
+        let buckets = self.route(dataset, records)?;
+        let n = buckets.iter().map(|b| b.len() as u64).sum();
         let errs: Vec<String> = std::thread::scope(|scope| {
             let handles: Vec<_> = buckets
                 .into_iter()

@@ -203,10 +203,11 @@ impl Router {
     ///
     /// The whole batch parses up front (line-precise `400`s, nothing
     /// half-applied on malformed input), is admitted against the
-    /// in-flight byte cap, then inserts record by record.
-    /// [`Instance::insert`] on a durable instance returns only after
-    /// the WAL group-commit fsync, so `200` means every record survives
-    /// `kill -9`.
+    /// in-flight byte cap, then goes in as one
+    /// [`Instance::insert_batch`]: one WAL group commit per partition
+    /// touched, and on a durable instance a return only after those
+    /// fsyncs — so `200` means every record survives `kill -9`. A failed
+    /// batch acknowledges nothing (`"ingested": 0`).
     fn handle_ingest(&self, dataset: &str, req: &Request) -> Response {
         let text = req.body_str();
         let mut records = Vec::new();
@@ -260,32 +261,26 @@ impl Router {
             }
         };
 
-        let total = records.len() as u64;
-        let mut ingested = 0u64;
-        for record in records {
-            if let Err(e) = self.db.insert(dataset, record) {
-                drop(permit);
-                // Records before the failure are in (and durable); say
-                // exactly how many.
-                let (status, code, retryable) = error_parts(&e);
-                let status = if status == 400 { 400 } else { status };
-                return Response::json(
-                    status,
-                    Value::record(vec![
-                        (
-                            "error".to_string(),
-                            Value::record(vec![
-                                ("code".to_string(), Value::from(code)),
-                                ("message".to_string(), Value::from(e.to_string())),
-                                ("status".to_string(), Value::from(status as i64)),
-                                ("retryable".to_string(), Value::from(retryable)),
-                            ]),
-                        ),
-                        ("ingested".to_string(), Value::from(ingested as i64)),
-                    ]),
-                );
-            }
-            ingested += 1;
+        let ingested = records.len() as u64;
+        if let Err(e) = self.db.insert_batch(dataset, records) {
+            drop(permit);
+            // Nothing of a failed batch is acknowledged.
+            let (status, code, retryable) = error_parts(&e);
+            return Response::json(
+                status,
+                Value::record(vec![
+                    (
+                        "error".to_string(),
+                        Value::record(vec![
+                            ("code".to_string(), Value::from(code)),
+                            ("message".to_string(), Value::from(e.to_string())),
+                            ("status".to_string(), Value::from(status as i64)),
+                            ("retryable".to_string(), Value::from(retryable)),
+                        ]),
+                    ),
+                    ("ingested".to_string(), Value::from(0i64)),
+                ]),
+            );
         }
         self.feed.record_ingested(ingested);
         drop(permit);
@@ -294,7 +289,7 @@ impl Router {
             Value::record(vec![
                 ("dataset".to_string(), Value::from(dataset)),
                 ("ingested".to_string(), Value::from(ingested as i64)),
-                ("batch".to_string(), Value::from(total as i64)),
+                ("batch".to_string(), Value::from(ingested as i64)),
                 ("durable".to_string(), Value::from(self.db.is_durable())),
             ]),
         )

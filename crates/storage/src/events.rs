@@ -87,8 +87,8 @@ pub struct LsmEvent {
     pub bytes: u64,
     /// Disk component count after the event.
     pub components: u64,
-    /// LSM generation after the event (bumped by every mutation batch and
-    /// structural change; the postings cache keys validity off it).
+    /// LSM generation after the event (bumped by every mutation and
+    /// structural change, so events order against the writes between them).
     pub generation: u64,
     /// Free-form context (fault description for `FaultRetry`).
     pub detail: Option<String>,

@@ -314,15 +314,22 @@ pub fn index_tokens(kind: IndexKind, field_value: &Value) -> Vec<Value> {
     }
 }
 
-/// Token → shared posting list, valid for one LSM generation.
+/// Token → shared posting list, kept exact by the writes themselves.
 ///
 /// Keyed probes during a query hit the same few tokens over and over
 /// (broadcast probes in index-nested-loop joins most of all); re-scanning
 /// the composite-key range and re-allocating a fresh `Vec<Value>` per
 /// probe dominated the hot path. The cache hands out `Arc<[Value]>`
-/// clones instead, and a single generation comparison against the backing
-/// tree invalidates *everything* on any mutation — no per-token tracking,
-/// no stale reads.
+/// clones instead.
+///
+/// Invalidation rule: a write drops exactly the entries of the tokens it
+/// touches, before it is applied. [`InvertedIndex::insert`] and
+/// [`InvertedIndex::delete`] take `&mut self`, so no probe (`&self`) can
+/// run beside them — there is no raced read to guard against and nothing
+/// to re-check after a kernel. Flush and merge move postings between
+/// components without changing any logical posting list, so they
+/// invalidate nothing; [`InvertedIndex::restore_components`] swaps the
+/// whole tree and clears everything.
 #[derive(Debug, Default)]
 struct PostingsCacheInner {
     /// token → (shared list, last-touch stamp for LRU eviction).
@@ -334,28 +341,49 @@ struct PostingsCacheInner {
     ranks: HashMap<Value, (Arc<[u32]>, u64)>,
     /// token → (bitset membership view of the posting list, touch stamp),
     /// built lazily for the long lists DivideSkip probes: O(1) membership
-    /// per candidate instead of a binary search over `Value`s.
+    /// per candidate instead of a binary search over `Value`s. A bitset
+    /// spans the dictionary as it was when built; ranks handed out later
+    /// lie past its end and test `false`, which is right — a pk interned
+    /// after the build is on none of the lists the bitset was built from.
     bitsets: HashMap<Value, (Arc<TokenBitset>, u64)>,
-    /// First-encounter primary-key interning for this generation:
-    /// rank → pk, and its inverse. Cleared with everything else whenever
-    /// the backing tree's generation moves.
+    /// First-encounter primary-key interning: rank → pk, and its inverse.
+    /// Append-only across probes and inserts (a rank, once given, keeps
+    /// its pk, so surviving rank arrays and bitsets stay valid); reset
+    /// with `ranks` and `bitsets` by `delete`, the one write that can
+    /// retire a pk, so it never outgrows the keys the index has held
+    /// since the last delete.
     pk_by_rank: Vec<Value>,
     rank_of: HashMap<Value, u32>,
-    /// Generation of the backing tree these entries were read at.
-    generation: u64,
     /// Monotonic touch clock.
     clock: u64,
 }
 
 impl PostingsCacheInner {
-    /// Drop every generation-scoped structure (entries and rank dictionary).
-    fn clear_all(&mut self, generation: u64) {
-        self.map.clear();
+    /// True when a write has nothing to invalidate — the state of every
+    /// index during `load` and `create index` backfill, which must not
+    /// pay for hashing each record's tokens.
+    fn is_empty(&self) -> bool {
+        self.map.is_empty()
+            && self.ranks.is_empty()
+            && self.bitsets.is_empty()
+            && self.pk_by_rank.is_empty()
+    }
+
+    /// Drop every form of the posting lists of `tokens`.
+    fn forget(&mut self, tokens: &[Value]) {
+        for token in tokens {
+            self.map.remove(token);
+            self.ranks.remove(token);
+            self.bitsets.remove(token);
+        }
+    }
+
+    /// Drop everything expressed in ranks, and the dictionary with it.
+    fn reset_ranks(&mut self) {
         self.ranks.clear();
         self.bitsets.clear();
         self.pk_by_rank.clear();
         self.rank_of.clear();
-        self.generation = generation;
     }
 
     /// Intern one posting list to its dense-rank form, extending the pk
@@ -451,19 +479,31 @@ impl InvertedIndex {
         index_tokens(self.kind, field_value)
     }
 
-    /// Add postings for every token of `record`'s field.
+    /// Add postings for every token of `record`'s field, first dropping
+    /// those tokens' cached lists.
     pub fn insert(&mut self, record: &Value, pk: &Value) -> Result<(), IoError> {
-        let field_value = record.field_path(&self.field);
-        for token in index_tokens(self.kind, field_value) {
+        let tokens = index_tokens(self.kind, record.field_path(&self.field));
+        let cache = self.postings_cache.inner.get_mut();
+        if !cache.is_empty() {
+            cache.forget(&tokens);
+        }
+        for token in tokens {
             self.tree.put(composite(token, pk.clone()), Bytes::new())?;
         }
         Ok(())
     }
 
-    /// Remove postings for every token of `record`'s field.
+    /// Remove postings for every token of `record`'s field, first dropping
+    /// those tokens' cached lists and — since `pk` may now be on no list
+    /// at all — the rank dictionary.
     pub fn delete(&mut self, record: &Value, pk: &Value) -> Result<(), IoError> {
-        let field_value = record.field_path(&self.field);
-        for token in index_tokens(self.kind, field_value) {
+        let tokens = index_tokens(self.kind, record.field_path(&self.field));
+        let cache = self.postings_cache.inner.get_mut();
+        if !cache.is_empty() {
+            cache.forget(&tokens);
+            cache.reset_ranks();
+        }
+        for token in tokens {
             self.tree.delete(composite(token, pk.clone()))?;
         }
         Ok(())
@@ -492,27 +532,22 @@ impl InvertedIndex {
     }
 
     /// The inverted list of one token as a shared slice, served from the
-    /// postings cache when the backing tree's generation still matches.
+    /// postings cache when it holds the token.
     pub fn postings_shared(&self, token: &Value) -> Result<Arc<[Value]>, IoError> {
-        if self.postings_cache.capacity == 0 {
+        let capacity = self.postings_cache.capacity;
+        if capacity == 0 {
             return Ok(self.read_postings(token)?.into());
         }
-        let generation = self.tree.generation();
         {
             let mut inner = self.postings_cache.inner.lock();
-            if inner.generation != generation {
-                // Any mutation since the entries were read: drop them all.
-                inner.clear_all(generation);
-            } else {
-                inner.clock += 1;
-                let stamp = inner.clock;
-                if let Some(slot) = inner.map.get_mut(token) {
-                    slot.1 = stamp;
-                    let list = slot.0.clone();
-                    drop(inner);
-                    crate::profile::add(|q| &q.postings_cache_hits, 1);
-                    return Ok(list);
-                }
+            inner.clock += 1;
+            let stamp = inner.clock;
+            if let Some(slot) = inner.map.get_mut(token) {
+                slot.1 = stamp;
+                let list = slot.0.clone();
+                drop(inner);
+                crate::profile::add(|q| &q.postings_cache_hits, 1);
+                return Ok(list);
             }
         }
         // Miss: read outside the lock (scans can be long), then install.
@@ -525,25 +560,12 @@ impl InvertedIndex {
             return Ok(list);
         }
         let mut inner = self.postings_cache.inner.lock();
-        // Install only if no mutation raced the read.
-        if inner.generation == generation {
-            if inner.map.len() >= self.postings_cache.capacity
-                && !inner.map.contains_key(token)
-            {
-                // Evict the least-recently-touched token.
-                if let Some(victim) = inner
-                    .map
-                    .iter()
-                    .min_by_key(|(_, (_, stamp))| *stamp)
-                    .map(|(k, _)| k.clone())
-                {
-                    inner.map.remove(&victim);
-                }
-            }
-            inner.clock += 1;
-            let stamp = inner.clock;
-            inner.map.insert(token.clone(), (list.clone(), stamp));
+        if !inner.map.contains_key(token) {
+            PostingsCacheInner::evict_lru(&mut inner.map, capacity);
         }
+        inner.clock += 1;
+        let stamp = inner.clock;
+        inner.map.insert(token.clone(), (list.clone(), stamp));
         Ok(list)
     }
 
@@ -569,27 +591,20 @@ impl InvertedIndex {
             .collect::<Result<_, _>>()?;
         let refs: Vec<&[Value]> = lists.iter().map(|l| &**l).collect();
         let max_len = refs.iter().map(|l| l.len()).max().unwrap_or(0);
-        let candidates = if t > 1 && refs.len() > 1 && max_len >= ADAPTIVE_DIVIDE_SKIP_MIN_LEN {
-            asterix_simfn::t_occurrence_divide_skip(&refs, t)
-        } else {
-            crate::profile::record_scancount_fallbacks(1);
-            asterix_simfn::t_occurrence_scan_count(&refs, t)
-        };
-        crate::profile::add(|q| &q.toccurrence_candidates, candidates.len() as u64);
-        Ok(candidates)
+        let use_divide_skip = t > 1 && refs.len() > 1 && max_len >= ADAPTIVE_DIVIDE_SKIP_MIN_LEN;
+        self.t_occurrence_scalar_on(&refs, t, use_divide_skip)
     }
 
     /// Vectorized T-occurrence: posting lists are delivered as
-    /// `Arc<[u32]>` dense-rank arrays (interned per LSM generation inside
-    /// the postings cache) and counted with the rank kernels of
+    /// `Arc<[u32]>` dense-rank arrays (interned inside the postings cache)
+    /// and counted with the rank kernels of
     /// `asterix-simfn` — a dense count array for ScanCount, bitset
     /// membership for DivideSkip's long-list probes — instead of hashing
     /// or binary-searching `Value` primary keys per element. Picks the
     /// same algorithm the scalar [`InvertedIndex::t_occurrence`] would and
     /// returns the identical candidate list (same order); falls back to
-    /// the scalar path whenever the postings cache is disabled, the memory
-    /// budget refuses the rank arrays, or a concurrent mutation races the
-    /// probe.
+    /// the scalar path whenever the postings cache is disabled or the
+    /// memory budget refuses the rank arrays.
     pub fn t_occurrence_ranked(&self, tokens: &[Value], t: usize) -> Result<Vec<Value>, IoError> {
         self.t_occurrence_ranked_opts(tokens, t, true)
     }
@@ -638,13 +653,9 @@ impl InvertedIndex {
         let max_len = refs.iter().map(|l| l.len()).max().unwrap_or(0);
         let use_divide_skip = t > 1 && refs.len() > 1 && max_len >= ADAPTIVE_DIVIDE_SKIP_MIN_LEN;
 
-        let generation = self.tree.generation();
         let capacity = self.postings_cache.capacity;
         // Intern posting lists to rank arrays under the cache lock.
         let mut inner = self.postings_cache.inner.lock();
-        if inner.generation != generation {
-            inner.clear_all(generation);
-        }
         let mut rank_lists: Vec<Arc<[u32]>> = Vec::with_capacity(lists.len());
         for (tok, list) in tokens.iter().zip(&lists) {
             inner.clock += 1;
@@ -714,15 +725,9 @@ impl InvertedIndex {
             })
         };
 
-        // Map candidate ranks back to primary keys. If a mutation cleared
-        // the dictionary while the kernel ran, the ranks no longer resolve:
-        // redo this probe through the scalar path (the Arc'd lists are
-        // still a consistent snapshot).
+        // Map candidate ranks back to primary keys: probes only ever
+        // append to the dictionary, so every rank still resolves.
         let inner = self.postings_cache.inner.lock();
-        if inner.generation != generation {
-            drop(inner);
-            return self.t_occurrence_scalar_on(&refs, t, use_divide_skip);
-        }
         let candidates: Vec<Value> = candidate_ranks
             .iter()
             .map(|&r| inner.pk_by_rank[r as usize].clone())
@@ -733,7 +738,8 @@ impl InvertedIndex {
     }
 
     /// The scalar merge over already-fetched lists, with the adaptive
-    /// choice precomputed — the fallback target of the ranked path.
+    /// choice precomputed — where the ranked path lands when the memory
+    /// budget refuses its rank arrays.
     fn t_occurrence_scalar_on(
         &self,
         refs: &[&[Value]],
@@ -785,9 +791,10 @@ impl InvertedIndex {
         self.tree.component_files()
     }
 
-    /// Restore recovered disk components (bumps the generation, so the
-    /// postings cache self-invalidates).
+    /// Restore recovered disk components. The whole tree changes under
+    /// the postings cache, so the cache is cleared.
     pub fn restore_components(&mut self, components: Vec<crate::component::RunComponent>) {
+        *self.postings_cache.inner.get_mut() = PostingsCacheInner::default();
         self.tree.restore_components(components);
     }
 
@@ -961,8 +968,7 @@ mod tests {
     }
 
     /// The rank-array path must return exactly the scalar candidates (same
-    /// order), across mutations (generation invalidation of the rank
-    /// dictionary) and on both adaptive branches.
+    /// order), across mutations and on both adaptive branches.
     #[test]
     fn t_occurrence_ranked_equals_scalar() {
         let mut idx = InvertedIndex::new(
@@ -992,7 +998,7 @@ mod tests {
                 "t={t}"
             );
         }
-        // Mutate: the rank dictionary must invalidate with the generation.
+        // Mutate: every probed token's rank array is dropped and rebuilt.
         idx.insert(
             &record! {"id" => 9i64, "username" => "marla"},
             &Value::Int64(9),
@@ -1158,19 +1164,39 @@ mod tests {
         );
     }
 
+    /// Flush and merge move postings between components but change no
+    /// logical posting list: a warm entry stays a hit and nothing is
+    /// re-read. Writes in between still drop exactly what they touch.
     #[test]
-    fn postings_cache_invalidated_by_flush_and_merge() {
+    fn postings_cache_survives_flush_and_merge() {
         let mut idx = keyword_index();
-        // Warm the cache, then flush: generation changes, entries drop.
-        assert_eq!(idx.postings(&Value::from("gift")).unwrap(), vec![Value::Int64(2)]);
+        let gift = idx.postings_shared(&Value::from("gift")).unwrap();
+        let product = idx.postings_shared(&Value::from("product")).unwrap();
+        assert_eq!(&*gift, &[Value::Int64(2)]);
         idx.flush().unwrap();
-        assert_eq!(idx.postings(&Value::from("gift")).unwrap(), vec![Value::Int64(2)]);
-        // Delete + flush + merge: the tombstone disappears and the cached
-        // list must still be correct afterwards.
+        {
+            let counters = crate::QueryCounters::handle();
+            let _scope = counters.enter();
+            let again = idx.postings_shared(&Value::from("gift")).unwrap();
+            assert!(Arc::ptr_eq(&gift, &again));
+            let p = counters.snapshot();
+            assert_eq!((p.postings_cache_hits, p.postings_cache_misses), (1, 0));
+            assert_eq!(p.inverted_elements_read, 0);
+        }
+        // Delete + flush + merge: the tombstone disappears; the deleted
+        // record's tokens were dropped by the delete, "product" was not
+        // touched and is still the same list.
         idx.delete(&record! {"id" => 2i64, "summary" => "great gift"}, &Value::Int64(2))
             .unwrap();
         idx.flush().unwrap();
         idx.tree.merge_all().unwrap();
+        let counters = crate::QueryCounters::handle();
+        let _scope = counters.enter();
+        assert!(Arc::ptr_eq(
+            &product,
+            &idx.postings_shared(&Value::from("product")).unwrap()
+        ));
+        assert_eq!(counters.snapshot().inverted_elements_read, 0);
         assert_eq!(
             idx.postings(&Value::from("gift")).unwrap(),
             Vec::<Value>::new()
@@ -1179,6 +1205,60 @@ mod tests {
             idx.postings(&Value::from("great")).unwrap(),
             vec![Value::Int64(1)]
         );
+    }
+
+    /// The rank dictionary only grows under probes and inserts; a delete,
+    /// the one write that can retire a pk, starts it over — while the
+    /// `Value` lists of untouched tokens stay cached.
+    #[test]
+    fn delete_resets_the_rank_dictionary() {
+        let mut idx = keyword_index();
+        let tokens = [Value::from("great"), Value::from("product")];
+        idx.t_occurrence_ranked(&tokens, 1).unwrap();
+        idx.insert(
+            &record! {"id" => 4i64, "summary" => "awful gift"},
+            &Value::Int64(4),
+        )
+        .unwrap();
+        assert_eq!(idx.postings_cache.inner.get_mut().pk_by_rank.len(), 3);
+        idx.delete(&record! {"id" => 2i64, "summary" => "great gift"}, &Value::Int64(2))
+            .unwrap();
+        let cache = idx.postings_cache.inner.get_mut();
+        assert!(cache.pk_by_rank.is_empty() && cache.rank_of.is_empty());
+        assert!(cache.ranks.is_empty() && cache.bitsets.is_empty());
+        assert!(cache.map.contains_key(&Value::from("product")));
+        assert_eq!(
+            idx.t_occurrence_ranked(&tokens, 1).unwrap(),
+            vec![Value::Int64(1), Value::Int64(3)]
+        );
+    }
+
+    /// An insert drops the lists of its own tokens and no other: the
+    /// untouched token is a hit on the very `Arc` cached before the write.
+    #[test]
+    fn insert_invalidates_only_the_tokens_it_touches() {
+        let mut idx = keyword_index();
+        let great = idx.postings_shared(&Value::from("great")).unwrap();
+        let product = idx.postings_shared(&Value::from("product")).unwrap();
+        idx.insert(
+            &record! {"id" => 4i64, "summary" => "great stuff"},
+            &Value::Int64(4),
+        )
+        .unwrap();
+        let counters = crate::QueryCounters::handle();
+        let _scope = counters.enter();
+        assert!(Arc::ptr_eq(
+            &product,
+            &idx.postings_shared(&Value::from("product")).unwrap()
+        ));
+        let reread = idx.postings_shared(&Value::from("great")).unwrap();
+        assert!(!Arc::ptr_eq(&great, &reread));
+        assert_eq!(
+            &*reread,
+            &[Value::Int64(1), Value::Int64(2), Value::Int64(4)]
+        );
+        let p = counters.snapshot();
+        assert_eq!((p.postings_cache_hits, p.postings_cache_misses), (1, 1));
     }
 
     #[test]
@@ -1228,5 +1308,114 @@ mod tests {
         assert_eq!(p.postings_cache_misses, 0);
         // Every probe re-reads the single-element list.
         assert_eq!(p.inverted_elements_read, 3);
+    }
+
+    const VOCABULARY: [&str; 6] = ["common", "a1", "b2", "c3", "d4", "e5"];
+
+    /// The vocabulary words whose bit is set in `mask`.
+    fn words(mask: u8) -> Vec<&'static str> {
+        VOCABULARY
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, w)| *w)
+            .collect()
+    }
+
+    fn summary_record(pk: i64, text: &str) -> Value {
+        record! {"id" => pk, "summary" => text}
+    }
+
+    /// One index with a postings cache of `capacity` tokens plus the live
+    /// `pk → summary` map a caller of insert/delete has to keep (the
+    /// partition store's job outside this test).
+    struct Modelled {
+        idx: InvertedIndex,
+        live: std::collections::BTreeMap<i64, String>,
+    }
+
+    impl Modelled {
+        fn new(capacity: usize) -> Self {
+            let mut config = StorageConfig::tiny();
+            config.postings_cache_entries = capacity;
+            Modelled {
+                idx: InvertedIndex::new(cache(), config, "summary", IndexKind::Keyword),
+                live: Default::default(),
+            }
+        }
+
+        fn remove(&mut self, pk: i64) {
+            if let Some(old) = self.live.remove(&pk) {
+                self.idx
+                    .delete(&summary_record(pk, &old), &Value::Int64(pk))
+                    .unwrap();
+            }
+        }
+
+        fn upsert(&mut self, pk: i64, text: &str) {
+            self.remove(pk);
+            self.idx
+                .insert(&summary_record(pk, text), &Value::Int64(pk))
+                .unwrap();
+            self.live.insert(pk, text.to_string());
+        }
+
+        fn apply(&mut self, op: u8, pk: i64, mask: u8) {
+            match op {
+                0 | 1 => self.upsert(pk, &words(mask).join(" ")),
+                2 => self.remove(pk),
+                3 => self.idx.flush().unwrap(),
+                4 => self.idx.tree.merge_all().unwrap(),
+                // Recovery swapping the tree for another: here, an empty
+                // one. Rare, so most histories keep their long lists.
+                _ if pk % 8 == 0 => {
+                    self.idx.flush().unwrap();
+                    self.idx.restore_components(Vec::new());
+                    self.live.clear();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever mix of inserts, overwrites, deletes, flushes, merges and
+        /// component restores an index has seen, and whatever it cached at
+        /// whichever point, every read equals the same read on an index
+        /// without a cache that saw the same history.
+        #[test]
+        fn cached_reads_equal_uncached_reads(
+            capacity in proptest::sample::select(vec![2usize, 64]),
+            ops in proptest::collection::vec((0u8..9, 0i64..40, 0u8..64), 1..150),
+        ) {
+            let mut cached = Modelled::new(capacity);
+            let mut plain = Modelled::new(0);
+            // "common" starts past the DivideSkip threshold, so probes
+            // with t > 1 run the bitset branch too.
+            for pk in 100..170i64 {
+                for m in [&mut cached, &mut plain] {
+                    m.upsert(pk, &format!("common x{pk}"));
+                }
+            }
+            for (op, pk, mask) in ops {
+                if op < 6 {
+                    cached.apply(op, pk, mask);
+                    plain.apply(op, pk, mask);
+                    continue;
+                }
+                let tokens: Vec<Value> = words(mask | 1).into_iter().map(Value::from).collect();
+                for token in &tokens {
+                    proptest::prop_assert_eq!(
+                        cached.idx.postings_shared(token).unwrap(),
+                        plain.idx.postings_shared(token).unwrap()
+                    );
+                }
+                for t in 1..=tokens.len() {
+                    let expected = plain.idx.t_occurrence(&tokens, t).unwrap();
+                    proptest::prop_assert_eq!(cached.idx.t_occurrence(&tokens, t).unwrap(), expected.clone());
+                    proptest::prop_assert_eq!(cached.idx.t_occurrence_ranked(&tokens, t).unwrap(), expected);
+                }
+            }
+        }
     }
 }

@@ -39,9 +39,9 @@ pub struct LsmTree {
     /// Lifetime counters for observability.
     flushes: u64,
     merges: u64,
-    /// Bumped on every mutation (put/delete/flush/merge/bulk-load) so
-    /// derived caches — e.g. the inverted index's postings cache — can
-    /// detect staleness with one integer comparison.
+    /// Bumped on every mutation (put/delete/flush/merge/bulk-load) and
+    /// stamped onto lifecycle events, which orders them against the
+    /// writes between them.
     generation: u64,
     /// Identity stamped onto lifecycle events (`dataset/p0/<primary>`);
     /// empty until [`LsmTree::set_tag`] is called.
@@ -152,11 +152,6 @@ impl LsmTree {
             }
         }
         Ok(out.into_iter().map(|r| r.flatten()).collect())
-    }
-
-    /// The current mutation generation (see the field doc).
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// True if the key currently has a live value.
@@ -879,22 +874,22 @@ mod tests {
     #[test]
     fn generation_bumps_on_every_mutation() {
         let mut t = tree(StorageConfig::tiny());
-        let g0 = t.generation();
+        let g0 = t.generation;
         t.put(Value::Int64(1), b("one")).unwrap();
-        let g1 = t.generation();
+        let g1 = t.generation;
         assert!(g1 > g0);
         t.delete(Value::Int64(1)).unwrap();
-        let g2 = t.generation();
+        let g2 = t.generation;
         assert!(g2 > g1);
         t.put(Value::Int64(2), b("two")).unwrap();
         t.flush().unwrap();
-        let g3 = t.generation();
+        let g3 = t.generation;
         assert!(g3 > g2);
         t.flush().unwrap(); // empty flush: no component, but harmless
         t.put(Value::Int64(3), b("three")).unwrap();
         t.flush().unwrap();
-        let g4 = t.generation();
+        let g4 = t.generation;
         t.merge_all().unwrap();
-        assert!(t.generation() > g4);
+        assert!(t.generation > g4);
     }
 }

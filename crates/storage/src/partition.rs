@@ -421,7 +421,7 @@ impl PartitionStore {
     /// rank-array path: postings are interned to `Arc<[u32]>` dense-rank
     /// arrays and counted with the rank kernels (same candidates, same
     /// order; falls back to the scalar merge when the postings cache is
-    /// disabled or a mutation races the probe).
+    /// disabled or the memory budget refuses the rank arrays).
     pub fn inverted_candidates_ranked(
         &self,
         index_name: &str,

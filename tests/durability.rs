@@ -110,6 +110,40 @@ fn unflushed_inserts_survive_restart_via_wal_replay() {
     assert_eq!(gauges.replayed_records, 81);
 }
 
+/// A batch insert costs one WAL group commit per partition it touches,
+/// not one per record, and every record of an acknowledged batch replays
+/// after a restart. A record without the primary key fails the batch
+/// before anything is written.
+#[test]
+fn batch_insert_is_one_group_commit_per_partition() {
+    let tmp = TempDir::new("batch_commit");
+    {
+        let db = Instance::open(durable_config(tmp.path())).unwrap();
+        db.create_dataset("ARevs", "id").unwrap();
+        let before = db.metrics().gauges.durability.wal_group_commits;
+        db.insert_batch("ARevs", amazon_reviews(64, 3)).unwrap();
+        let gauges = &db.metrics().gauges.durability;
+        assert_eq!(gauges.wal_appends, 64);
+        let commits = gauges.wal_group_commits - before;
+        assert!(
+            (1..=PARTITIONS as u64).contains(&commits),
+            "64 records over {PARTITIONS} partitions took {commits} group commits"
+        );
+
+        let keyless = vec![
+            record! {"id" => 70_000i64, "summary" => "has a key"},
+            record! {"summary" => "has none"},
+        ];
+        let err = db.insert_batch("ARevs", keyless).unwrap_err();
+        assert!(matches!(err, CoreError::Schema(_)), "{err}");
+        assert_eq!(db.count_records("ARevs").unwrap(), 64);
+        assert_eq!(db.metrics().gauges.durability.wal_appends, 64);
+    }
+    let db = Instance::open(durable_config(tmp.path())).unwrap();
+    assert_eq!(db.recovery_stats().unwrap().wal_records_replayed, 64);
+    assert_eq!(db.count_records("ARevs").unwrap(), 64);
+}
+
 /// After a flush, restart restores the sealed components from the
 /// manifest, replays nothing, and index query results are identical to
 /// the pre-restart instance (scan ≡ index across the restart).

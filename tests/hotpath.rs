@@ -185,6 +185,27 @@ fn postings_cache_invalidated_by_dml() {
     assert_eq!(db.query_with(q, &profiled()).unwrap().ids(), before);
 }
 
+/// A write invalidates only the tokens it touches: after inserting a
+/// record that shares no token with the query, the same query is still
+/// served from the cache.
+#[test]
+fn postings_cache_survives_unrelated_insert() {
+    let db = setup(200);
+    let q = jaccard_query();
+    let before = db.query_with(&q, &profiled()).unwrap();
+    db.insert(
+        "ARevs",
+        record! {"id" => 999_998i64, "summary" => "zzyzx qwvx", "reviewerName" => "qq"},
+    )
+    .unwrap();
+    let after = db.query_with(&q, &profiled()).unwrap();
+    assert_eq!(after.ids(), before.ids());
+    let p = after.profile.unwrap();
+    assert!(p.index_search.postings_cache_hits > 0);
+    assert_eq!(p.index_search.postings_cache_misses, 0);
+    assert_eq!(p.index_search.inverted_elements_read, 0);
+}
+
 /// Concurrent queries share one partition's postings cache safely: after
 /// a warm-up, both see pure hits, both get correct (identical) answers,
 /// and each profile reports its own counters.

@@ -348,6 +348,24 @@ fn ingest_feeds_apply_backpressure_and_bounds() {
     assert!(body.contains("line 2"), "{body}");
     assert_eq!(server.instance().count_records("Reviews").unwrap(), before);
 
+    // A failed batch acknowledges nothing: a record without the primary
+    // key fails it before anything is written, the good record before it
+    // included.
+    let (status, _head, body) = http(
+        addr,
+        "POST",
+        "/ingest/Reviews",
+        "{\"id\": 4000, \"summary\": \"has a key\"}\n{\"summary\": \"has none\"}\n",
+    );
+    assert_eq!(status, 400, "{body}");
+    let v = json::parse(&body).unwrap();
+    assert_eq!(
+        v.field("error").field("code").as_str(),
+        Some("schema_error")
+    );
+    assert_eq!(v.field("ingested").as_i64(), Some(0));
+    assert_eq!(server.instance().count_records("Reviews").unwrap(), before);
+
     // Unknown dataset → schema error with a zero ingested count.
     let (status, _head, body) = http(addr, "POST", "/ingest/Nope", "{\"id\": 1}\n");
     assert_eq!(status, 400);
