@@ -156,6 +156,23 @@ pub fn from_bytes(mut bytes: &[u8]) -> Result<Value, AdmError> {
     decode_value(&mut bytes)
 }
 
+/// Feed exactly the bytes [`hash_value`] feeds for `Value::Int64(i)`, for
+/// callers holding a bare `i64` (native batch columns).
+#[inline]
+pub fn hash_int64(i: i64, h: &mut Fnv1a) {
+    h.write_u8(TAG_INT64);
+    h.write(&i.to_le_bytes());
+}
+
+/// Feed exactly the bytes [`hash_value`] feeds for `Value::String(s)`, for
+/// callers holding a borrowed `&str` (arena string columns).
+#[inline]
+pub fn hash_str(s: &str, h: &mut Fnv1a) {
+    h.write_u8(TAG_STRING);
+    h.write(&(s.len() as u64).to_le_bytes());
+    h.write(s.as_bytes());
+}
+
 /// Feed the canonical encoding of `v` into a hasher without allocating.
 pub fn hash_value(v: &Value, h: &mut Fnv1a) {
     match v {
@@ -165,27 +182,19 @@ pub fn hash_value(v: &Value, h: &mut Fnv1a) {
             h.write_u8(TAG_BOOLEAN);
             h.write_u8(*b as u8);
         }
-        Value::Int64(i) => {
-            h.write_u8(TAG_INT64);
-            h.write(&i.to_le_bytes());
-        }
+        Value::Int64(i) => hash_int64(*i, h),
         Value::Double(d) => {
             // Hash doubles that are exact integers as Int64 so that
             // Int64(2) and Double(2.0) land in the same hash-join bucket
             // (they compare numerically equal at the `==` level).
             if d.0.fract() == 0.0 && d.0.abs() < (i64::MAX as f64) {
-                h.write_u8(TAG_INT64);
-                h.write(&(d.0 as i64).to_le_bytes());
+                hash_int64(d.0 as i64, h);
             } else {
                 h.write_u8(TAG_DOUBLE);
                 h.write(&d.0.to_bits().to_le_bytes());
             }
         }
-        Value::String(s) => {
-            h.write_u8(TAG_STRING);
-            h.write(&(s.len() as u64).to_le_bytes());
-            h.write(s.as_bytes());
-        }
+        Value::String(s) => hash_str(s, h),
         Value::OrderedList(items) | Value::UnorderedList(items) => {
             h.write_u8(if matches!(v, Value::OrderedList(_)) {
                 TAG_ORDERED_LIST

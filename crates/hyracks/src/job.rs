@@ -52,6 +52,20 @@ pub enum AggSpec {
     CollectSortedSet(usize),
 }
 
+impl AggSpec {
+    /// The input column the aggregate reads (`None` for `Count`).
+    pub fn column(&self) -> Option<usize> {
+        match self {
+            AggSpec::Count => None,
+            AggSpec::Sum(c)
+            | AggSpec::Min(c)
+            | AggSpec::Max(c)
+            | AggSpec::First(c)
+            | AggSpec::CollectSortedSet(c) => Some(*c),
+        }
+    }
+}
+
 /// What a secondary-index search verifies enough of to emit candidates
 /// (the residual SELECT removes false positives, §4.1.1).
 #[derive(Clone, Debug, PartialEq)]

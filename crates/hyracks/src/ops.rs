@@ -8,14 +8,14 @@
 
 use crate::context::ClusterContext;
 use crate::error::{CancelToken, ExecError, OpError};
-use crate::expr::sql_compare;
 use crate::job::{AggSpec, ConnectorKind, FaultMode, PhysicalOp, PreTokenized, SearchMeasure};
 use crate::tuple::{
-    compare_tuples, Batch, BatchSlice, Column, Frame, FrameRows, SortKey, Tuple, FRAME_CAPACITY,
+    compare_tuples, hash_cells, Batch, BatchSlice, CellRef, Column, Frame, FrameRows, SortKey,
+    Tuple, FRAME_CAPACITY,
 };
-use crate::vectorized::VerifyKernel;
+use crate::vectorized::{eval_expr_on_batch, VerifyKernel};
 use asterix_adm::{stable_hash_many, IndexKind, Value};
-use asterix_simfn::{edit_distance_t_bound, jaccard_t_bound};
+use asterix_simfn::{edit_distance_t_bound, jaccard_t_bound, FxHashMap};
 use crossbeam::channel::{Receiver, RecvTimeoutError, SendTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::cmp::Ordering;
@@ -401,36 +401,39 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, spec: &AggSpec, tuple: &Tuple) {
-        match (self, spec) {
-            (AggState::Count(n), AggSpec::Count) => *n += 1,
-            (AggState::Sum(acc, int), AggSpec::Sum(c)) => {
-                if let Some(x) = tuple[*c].as_f64() {
+    /// Fold one row in. `cell` is the row's cell of the aggregate's column
+    /// ([`AggSpec::column`]); `Count` reads none.
+    fn update(&mut self, cell: Option<CellRef<'_>>) {
+        let Some(v) = cell else {
+            if let AggState::Count(n) = self {
+                *n += 1;
+            }
+            return;
+        };
+        match self {
+            AggState::Count(n) => *n += 1,
+            AggState::Sum(acc, int) => {
+                if let Some(x) = v.as_f64() {
                     *acc += x;
-                    *int &= matches!(tuple[*c], Value::Int64(_));
+                    *int &= v.is_int();
                 }
             }
-            (AggState::Min(m), AggSpec::Min(c)) => {
-                let v = &tuple[*c];
-                if !v.is_unknown() && m.as_ref().is_none_or(|cur| v < cur) {
-                    *m = Some(v.clone());
+            AggState::Min(m) => {
+                if !v.is_unknown() && m.as_ref().is_none_or(|cur| v.cmp_value(cur).is_lt()) {
+                    *m = Some(v.to_value());
                 }
             }
-            (AggState::Max(m), AggSpec::Max(c)) => {
-                let v = &tuple[*c];
-                if !v.is_unknown() && m.as_ref().is_none_or(|cur| v > cur) {
-                    *m = Some(v.clone());
+            AggState::Max(m) => {
+                if !v.is_unknown() && m.as_ref().is_none_or(|cur| v.cmp_value(cur).is_gt()) {
+                    *m = Some(v.to_value());
                 }
             }
-            (AggState::First(f), AggSpec::First(c)) => {
+            AggState::First(f) => {
                 if f.is_none() {
-                    *f = Some(tuple[*c].clone());
+                    *f = Some(v.to_value());
                 }
             }
-            (AggState::Collect(items), AggSpec::CollectSortedSet(c)) => {
-                items.push(tuple[*c].clone());
-            }
-            _ => unreachable!("agg state/spec mismatch"),
+            AggState::Collect(items) => items.push(v.to_value()),
         }
     }
 
@@ -474,6 +477,129 @@ pub struct OpFlags {
     /// T-occurrence merging instead of the full-intersection gallop.
     /// Results are identical either way.
     pub disable_kernels: bool,
+}
+
+/// Split one input frame into batch slices for a batch-native operator:
+/// batch frames pass through; row frames are re-batched by moving their
+/// values (no clone), and a ragged row frame becomes one batch per row.
+fn frame_slices(frame: Frame) -> Vec<BatchSlice> {
+    match frame {
+        Frame::Batch(slice) => vec![slice],
+        Frame::Rows(rows) => match Batch::from_rows(rows) {
+            Ok(b) => vec![BatchSlice::full(Arc::new(b))],
+            Err(rows) => rows
+                .into_iter()
+                .filter_map(|r| Batch::from_rows(vec![r]).ok())
+                .map(|b| BatchSlice::full(Arc::new(b)))
+                .collect(),
+        },
+    }
+}
+
+/// Hand one output batch of a batch-native operator to `out`: as a
+/// zero-copy slice, or — under `disable_batching`, which promises no batch
+/// frame on any edge — as materialized rows.
+fn emit_batch(out: &mut Out, batch: Batch, as_rows: bool) -> Result<(), ExecError> {
+    if batch.is_empty() {
+        return Ok(());
+    }
+    if as_rows {
+        for i in 0..batch.len() {
+            out.push(batch.row(i))?;
+        }
+        return Ok(());
+    }
+    out.push_slice(&BatchSlice::full(Arc::new(batch)))
+}
+
+/// `(source 0, row)` picks of a slice's visible rows, for [`Batch::gather`].
+fn slice_picks(slice: &BatchSlice) -> Vec<(u32, u32)> {
+    (0..slice.len())
+        .map(|pos| (0, slice.row_index(pos) as u32))
+        .collect()
+}
+
+/// The visible rows of a slice as a batch the caller owns: the batch
+/// itself when the slice is whole and unshared (a re-batched row frame),
+/// otherwise a column-wise gather (record cells as `Arc` clones).
+fn owned_rows(slice: BatchSlice) -> Result<Batch, String> {
+    let BatchSlice { batch, sel } = slice;
+    let batch = match (sel.is_none(), Arc::try_unwrap(batch)) {
+        (true, Ok(owned)) => return Ok(owned),
+        (_, Ok(owned)) => Arc::new(owned),
+        (_, Err(shared)) => shared,
+    };
+    let slice = BatchSlice { batch, sel };
+    let all: Vec<usize> = (0..slice.batch.width()).collect();
+    Batch::gather(&[slice.batch.as_ref()], &slice_picks(&slice), &all)
+}
+
+/// Resolve an operator's column indices against one input batch; an index
+/// past its width is a typed error (malformed plan), never a panic.
+fn resolve_cols<'b>(
+    batch: &'b Batch,
+    cols: &[usize],
+    op: &str,
+    what: &str,
+) -> Result<Vec<&'b Column>, OpError> {
+    cols.iter()
+        .map(|&c| {
+            batch.col(c).ok_or_else(|| {
+                OpError::Failed(format!(
+                    "{op}: {what} column {c} out of bounds for tuple of width {}",
+                    batch.width()
+                ))
+            })
+        })
+        .collect()
+}
+
+/// Hash chains over entries numbered in insertion order: one map slot per
+/// distinct hash, entries of equal hash linked in insertion order, and no
+/// allocation per entry.
+#[derive(Default)]
+struct HashChains {
+    /// First and last entry per hash.
+    heads: FxHashMap<u64, (u32, u32)>,
+    /// Next entry with the same hash (`END` terminates).
+    next: Vec<u32>,
+}
+
+impl HashChains {
+    const END: u32 = u32::MAX;
+
+    /// Append an entry with hash `h`; returns its number.
+    fn push(&mut self, h: u64) -> u32 {
+        let id = self.next.len() as u32;
+        self.next.push(Self::END);
+        match self.heads.entry(h) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                let tail = &mut e.get_mut().1;
+                self.next[*tail as usize] = id;
+                *tail = id;
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert((id, id));
+            }
+        }
+        id
+    }
+
+    /// Entries with hash `h`, in insertion order.
+    fn chain(&self, h: u64) -> impl Iterator<Item = u32> + '_ {
+        let mut cur = self.heads.get(&h).map_or(Self::END, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            (cur != Self::END).then(|| {
+                let id = cur;
+                cur = self.next[id as usize];
+                id
+            })
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.next.len()
+    }
 }
 
 /// Emit accumulated rows as one batch frame; ragged rows (never produced
@@ -651,15 +777,12 @@ pub fn run_operator(
                         // batch so field access never deep-clones a record.
                         let src = slice.batch.as_ref();
                         let all: Vec<usize> = (0..src.width()).collect();
-                        let picks: Vec<(u32, u32)> = (0..slice.len())
-                            .map(|pos| (0, slice.row_index(pos) as u32))
-                            .collect();
-                        let mut b = Batch::gather(&[src], &picks, &all)
+                        let mut b = Batch::gather(&[src], &slice_picks(&slice), &all)
                             .map_err(|e| OpError::Failed(format!("assign: {e}")))?;
                         for e in exprs {
                             let mut vals = Vec::with_capacity(slice.len());
                             for pos in 0..slice.len() {
-                                vals.push(crate::vectorized::eval_expr_on_batch(
+                                vals.push(eval_expr_on_batch(
                                     e,
                                     src,
                                     slice.row_index(pos),
@@ -710,10 +833,7 @@ pub fn run_operator(
                         if slice.is_empty() {
                             continue;
                         }
-                        let picks: Vec<(u32, u32)> = (0..slice.len())
-                            .map(|pos| (0, slice.row_index(pos) as u32))
-                            .collect();
-                        let b = Batch::gather(&[slice.batch.as_ref()], &picks, cols)
+                        let b = Batch::gather(&[slice.batch.as_ref()], &slice_picks(&slice), cols)
                             .map_err(|e| OpError::Failed(format!("project: {e}")))?;
                         out.push_slice(&BatchSlice::full(Arc::new(b)))?;
                     }
@@ -760,7 +880,15 @@ pub fn run_operator(
         PhysicalOp::HashJoin {
             left_keys,
             right_keys,
-        } => run_hash_join(left_keys, right_keys, &inputs, out, cancel, &mut consumed),
+        } => run_hash_join(
+            left_keys,
+            right_keys,
+            &inputs,
+            out,
+            cancel,
+            &mut consumed,
+            flags.disable_batching,
+        ),
         PhysicalOp::NestedLoopJoin { predicate } => {
             let mut out = out;
             let left = drain_all(&inputs[0], cancel)?;
@@ -778,69 +906,83 @@ pub fn run_operator(
             }
             Ok((consumed, out.finish()?))
         }
-        PhysicalOp::HashGroupBy { keys, aggs } => {
-            let mut out = out;
-            let mut groups: HashMap<u64, Vec<(Tuple, Vec<AggState>)>> = HashMap::new();
-            for t in recv_tuples(&inputs[0], cancel) {
-                let t = t?;
-                consumed += 1;
-                let mut key: Tuple = Vec::with_capacity(keys.len());
-                for c in keys {
-                    key.push(col_ref(&t, *c, "hash-group-by")?.clone());
-                }
-                let refs: Vec<&Value> = key.iter().collect();
-                let h = stable_hash_many(&refs);
-                let bucket = groups.entry(h).or_default();
-                let idx = match bucket.iter().position(|(k, _)| k == &key) {
-                    Some(i) => i,
-                    None => {
-                        bucket.push((key, aggs.iter().map(AggState::new).collect()));
-                        bucket.len() - 1
-                    }
-                };
-                for (state, spec) in bucket[idx].1.iter_mut().zip(aggs) {
-                    state.update(spec, &t);
-                }
-            }
-            for (_, bucket) in groups {
-                for (key, states) in bucket {
-                    let mut row = key;
-                    for s in states {
-                        row.push(s.finish());
-                    }
-                    out.push(row)?;
-                }
-            }
-            Ok((consumed, out.finish()?))
-        }
+        PhysicalOp::HashGroupBy { keys, aggs } => run_hash_group_by(
+            keys,
+            aggs,
+            &inputs[0],
+            out,
+            cancel,
+            &mut consumed,
+            flags.disable_batching,
+        ),
         PhysicalOp::Unnest { expr, with_pos } => {
             let mut out = out;
-            for t in recv_tuples(&inputs[0], cancel) {
-                let t = t?;
-                consumed += 1;
-                let v = expr.eval(&t, reg)?;
-                if let Some(items) = v.as_list() {
-                    for (i, item) in items.iter().enumerate() {
-                        let mut row = t.clone();
-                        row.push(item.clone());
-                        if *with_pos {
-                            row.push(Value::Int64(i as i64));
+            let mut refs = Vec::new();
+            expr.referenced_columns(&mut refs);
+            for frame in recv_frames(&inputs[0], cancel) {
+                for slice in frame_slices(frame?) {
+                    consumed += slice.len() as u64;
+                    let src = slice.batch.as_ref();
+                    resolve_cols(src, &refs, "unnest", "expression")?;
+                    // One output row per list item: the input row repeated
+                    // by gather (record cells stay behind their `Arc`s),
+                    // plus the item and, optionally, its position.
+                    let mut picks: Vec<(u32, u32)> = Vec::new();
+                    let mut items: Vec<Value> = Vec::new();
+                    let mut positions: Vec<i64> = Vec::new();
+                    for pos in 0..slice.len() {
+                        let row = slice.row_index(pos);
+                        // Non-list (including null/missing): no rows, like
+                        // AQL's `for $x in <non-list>`.
+                        let list = match eval_expr_on_batch(expr, src, row, reg)? {
+                            Value::OrderedList(l) | Value::UnorderedList(l) => l,
+                            _ => continue,
+                        };
+                        for (i, item) in list.into_iter().enumerate() {
+                            picks.push((0, row as u32));
+                            items.push(item);
+                            if *with_pos {
+                                positions.push(i as i64);
+                            }
                         }
-                        out.push(row)?;
+                    }
+                    let all: Vec<usize> = (0..src.width()).collect();
+                    let mut items = items.into_iter();
+                    let mut positions = positions.into_iter();
+                    for chunk in picks.chunks(FRAME_CAPACITY) {
+                        let mut b = Batch::gather(&[src], chunk, &all).map_err(OpError::Failed)?;
+                        b.push_col(Column::from_values(
+                            items.by_ref().take(chunk.len()).collect(),
+                        ))
+                        .map_err(OpError::Failed)?;
+                        if *with_pos {
+                            b.push_col(Column::Int64(
+                                positions.by_ref().take(chunk.len()).collect(),
+                            ))
+                            .map_err(OpError::Failed)?;
+                        }
+                        emit_batch(&mut out, b, flags.disable_batching)?;
                     }
                 }
-                // Non-list (including null/missing): no rows, like AQL's
-                // `for $x in <non-list>`.
             }
             Ok((consumed, out.finish()?))
         }
         PhysicalOp::StreamPos => {
             let mut out = out;
-            for (pos, t) in recv_tuples(&inputs[0], cancel).enumerate() {
-                let mut t = t?;
-                consumed += 1;
-                t.push(Value::Int64(pos as i64));
-                out.push(t)?;
+            let mut next: i64 = 0;
+            for frame in recv_frames(&inputs[0], cancel) {
+                for slice in frame_slices(frame?) {
+                    consumed += slice.len() as u64;
+                    if slice.is_empty() {
+                        continue;
+                    }
+                    let mut b = owned_rows(slice).map_err(OpError::Failed)?;
+                    let n = b.len() as i64;
+                    b.push_col(Column::Int64((next..next + n).collect()))
+                        .map_err(OpError::Failed)?;
+                    next += n;
+                    emit_batch(&mut out, b, flags.disable_batching)?;
+                }
             }
             Ok((consumed, out.finish()?))
         }
@@ -1397,6 +1539,11 @@ fn run_batch_sort(
     Ok((*consumed, out.finish()?))
 }
 
+/// Batch-native hash join. The build side (input 0) keeps its shared
+/// batches and indexes `(batch, row)` pairs by key hash; each probe row
+/// compares key cells in place, and matches are emitted as a column-wise
+/// gather of the build rows beside a gather of the probe rows, so record
+/// cells are `Arc` clones on both sides.
 fn run_hash_join(
     left_keys: &[usize],
     right_keys: &[usize],
@@ -1404,44 +1551,185 @@ fn run_hash_join(
     mut out: Out,
     cancel: &CancelToken,
     consumed: &mut u64,
+    rows_out: bool,
 ) -> Result<(u64, OutCounts), OpError> {
-    // Build on input 0.
-    let mut table: HashMap<u64, Vec<Tuple>> = HashMap::new();
-    for t in recv_tuples(&inputs[0], cancel) {
-        let t = t?;
-        *consumed += 1;
-        let h = {
-            let mut refs: Vec<&Value> = Vec::with_capacity(left_keys.len());
-            for c in left_keys {
-                refs.push(col_ref(&t, *c, "hash-join")?);
+    let mut build: Vec<Arc<Batch>> = Vec::new();
+    let mut entries: Vec<(u32, u32)> = Vec::new();
+    let mut chains = HashChains::default();
+    for frame in recv_frames(&inputs[0], cancel) {
+        for slice in frame_slices(frame?) {
+            *consumed += slice.len() as u64;
+            if slice.is_empty() {
+                continue;
             }
-            stable_hash_many(&refs)
-        };
-        table.entry(h).or_default().push(t);
+            let keys = resolve_cols(&slice.batch, left_keys, "hash-join", "build key")?;
+            let b = build.len() as u32;
+            for pos in 0..slice.len() {
+                let row = slice.row_index(pos);
+                chains.push(hash_cells(&keys, row));
+                entries.push((b, row as u32));
+            }
+            build.push(Arc::clone(&slice.batch));
+        }
     }
-    // Probe with input 1.
-    for rt in recv_tuples(&inputs[1], cancel) {
-        let rt = rt?;
-        *consumed += 1;
-        let h = {
-            let mut refs: Vec<&Value> = Vec::with_capacity(right_keys.len());
-            for c in right_keys {
-                refs.push(col_ref(&rt, *c, "hash-join")?);
+    let build_keys: Vec<Vec<&Column>> = build
+        .iter()
+        .map(|b| resolve_cols(b, left_keys, "hash-join", "build key"))
+        .collect::<Result<_, _>>()?;
+    // Build batches grouped by width, so one output gather never mixes
+    // widths (only a ragged upstream produces more than one group).
+    let mut groups: Vec<Vec<&Batch>> = Vec::new();
+    let mut place: Vec<(usize, u32)> = Vec::with_capacity(build.len());
+    for b in &build {
+        let g = match groups.iter().position(|g| g[0].width() == b.width()) {
+            Some(g) => g,
+            None => {
+                groups.push(Vec::new());
+                groups.len() - 1
             }
-            stable_hash_many(&refs)
         };
-        if let Some(bucket) = table.get(&h) {
-            for lt in bucket {
-                let equal = left_keys.iter().zip(right_keys).all(|(lc, rc)| {
-                    sql_compare(&lt[*lc], &rt[*rc]) == Some(Ordering::Equal)
+        place.push((g, groups[g].len() as u32));
+        groups[g].push(b);
+    }
+    let mut left: Vec<(u32, u32)> = Vec::with_capacity(FRAME_CAPACITY);
+    let mut right: Vec<(u32, u32)> = Vec::with_capacity(FRAME_CAPACITY);
+    let mut group = 0usize;
+    for frame in recv_frames(&inputs[1], cancel) {
+        for slice in frame_slices(frame?) {
+            *consumed += slice.len() as u64;
+            let probe = slice.batch.as_ref();
+            let keys = resolve_cols(probe, right_keys, "hash-join", "probe key")?;
+            for pos in 0..slice.len() {
+                let row = slice.row_index(pos);
+                for e in chains.chain(hash_cells(&keys, row)) {
+                    let (b, r) = entries[e as usize];
+                    let equal = build_keys[b as usize]
+                        .iter()
+                        .zip(&keys)
+                        .all(|(lc, rc)| lc.cell(r as usize).sql_eq(rc.cell(row)));
+                    if !equal {
+                        continue;
+                    }
+                    let (g, i) = place[b as usize];
+                    if g != group || left.len() >= FRAME_CAPACITY {
+                        emit_join(&mut out, &groups, group, &mut left, probe, &mut right, rows_out)?;
+                        group = g;
+                    }
+                    left.push((i, r));
+                    right.push((0, row as u32));
+                }
+            }
+            emit_join(&mut out, &groups, group, &mut left, probe, &mut right, rows_out)?;
+        }
+    }
+    Ok((*consumed, out.finish()?))
+}
+
+/// Emit the pending hash-join matches: build rows `left` (picks into
+/// `groups[group]`) beside probe rows `right`, concatenated column-wise.
+fn emit_join(
+    out: &mut Out,
+    groups: &[Vec<&Batch>],
+    group: usize,
+    left: &mut Vec<(u32, u32)>,
+    probe: &Batch,
+    right: &mut Vec<(u32, u32)>,
+    rows_out: bool,
+) -> Result<(), OpError> {
+    if left.is_empty() {
+        return Ok(());
+    }
+    let srcs = &groups[group];
+    let lcols: Vec<usize> = (0..srcs[0].width()).collect();
+    let rcols: Vec<usize> = (0..probe.width()).collect();
+    let mut cols = Batch::gather(srcs, left, &lcols)
+        .map_err(OpError::Failed)?
+        .into_columns();
+    cols.extend(
+        Batch::gather(&[probe], right, &rcols)
+            .map_err(OpError::Failed)?
+            .into_columns(),
+    );
+    let b = Batch::from_columns(left.len(), cols).map_err(OpError::Failed)?;
+    left.clear();
+    right.clear();
+    emit_batch(out, b, rows_out)?;
+    Ok(())
+}
+
+/// Batch-native hash group-by: key cells are hashed and compared in place,
+/// aggregates fold borrowed cells, and only a group's first-seen key is
+/// materialized. Groups are emitted in first-seen order.
+fn run_hash_group_by(
+    keys: &[usize],
+    aggs: &[AggSpec],
+    input: &Receiver<Frame>,
+    mut out: Out,
+    cancel: &CancelToken,
+    consumed: &mut u64,
+    rows_out: bool,
+) -> Result<(u64, OutCounts), OpError> {
+    let (nk, na) = (keys.len(), aggs.len());
+    let agg_cols: Vec<usize> = aggs.iter().filter_map(AggSpec::column).collect();
+    // Per group, in first-seen order: `nk` key values and `na` states.
+    let mut group_keys: Vec<Value> = Vec::new();
+    let mut states: Vec<AggState> = Vec::new();
+    let mut chains = HashChains::default();
+    for frame in recv_frames(input, cancel) {
+        for slice in frame_slices(frame?) {
+            *consumed += slice.len() as u64;
+            let b = slice.batch.as_ref();
+            let key_cols = resolve_cols(b, keys, "hash-group-by", "key")?;
+            resolve_cols(b, &agg_cols, "hash-group-by", "aggregate")?;
+            let spec_cols: Vec<Option<&Column>> = aggs
+                .iter()
+                .map(|a| a.column().and_then(|c| b.col(c)))
+                .collect();
+            for pos in 0..slice.len() {
+                let row = slice.row_index(pos);
+                let h = hash_cells(&key_cols, row);
+                let found = chains.chain(h).find(|&g| {
+                    let stored = &group_keys[g as usize * nk..][..nk];
+                    key_cols
+                        .iter()
+                        .zip(stored)
+                        .all(|(c, v)| c.cell(row).eq_value(v))
                 });
-                if equal {
-                    let mut combined = lt.clone();
-                    combined.extend(rt.iter().cloned());
-                    out.push(combined)?;
+                let g = match found {
+                    Some(g) => g as usize,
+                    None => {
+                        group_keys.extend(key_cols.iter().map(|c| c.cell(row).to_value()));
+                        states.extend(aggs.iter().map(AggState::new));
+                        chains.push(h) as usize
+                    }
+                };
+                for (state, col) in states[g * na..][..na].iter_mut().zip(&spec_cols) {
+                    state.update(col.map(|c| c.cell(row)));
                 }
             }
         }
+    }
+    let ngroups = chains.len();
+    let mut group_keys = group_keys.into_iter();
+    let mut states = states.into_iter();
+    for start in (0..ngroups).step_by(FRAME_CAPACITY) {
+        let n = (ngroups - start).min(FRAME_CAPACITY);
+        let mut cols: Vec<Vec<Value>> = (0..nk + na).map(|_| Vec::with_capacity(n)).collect();
+        for _ in 0..n {
+            let row = group_keys
+                .by_ref()
+                .take(nk)
+                .chain(states.by_ref().take(na).map(AggState::finish));
+            for (col, v) in cols.iter_mut().zip(row) {
+                col.push(v);
+            }
+        }
+        let cols = cols.into_iter().map(Column::from_values).collect();
+        emit_batch(
+            &mut out,
+            Batch::from_columns(n, cols).map_err(OpError::Failed)?,
+            rows_out,
+        )?;
     }
     Ok((*consumed, out.finish()?))
 }

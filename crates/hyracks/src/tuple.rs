@@ -13,13 +13,16 @@
 //!   *same* shared batch, so connectors move batches downstream without
 //!   copying tuple data.
 //! * [`Frame`] — the unit moved over a connector in one send: either a
-//!   plain row vector (the seed representation, still used by sorting and
-//!   aggregation boundaries) or a batch slice.
+//!   plain row vector or a batch slice. Row frames are what row-only
+//!   operators (nested-loop join, limit, materialize) emit and what every
+//!   operator emits under `disable_batching`.
 //!
-//! Row-at-a-time consumers iterate any frame via [`Frame::into_rows`], so
-//! operators that were not vectorized keep working unchanged.
+//! Row-at-a-time consumers iterate any frame via [`Frame::into_rows`];
+//! batch-native operators re-batch row frames with [`Batch::from_rows`].
 
-use asterix_adm::{stable_hash_many, Value};
+use asterix_adm::binary::{hash_int64, hash_str, hash_value};
+use crate::expr::sql_compare;
+use asterix_adm::{Fnv1a, Value, ValueKind};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -86,6 +89,19 @@ impl Column {
             Column::Values(v) => v.get(row)?.as_str(),
             Column::Shared(v) => v.get(row)?.as_str(),
             Column::Int64(_) => None,
+        }
+    }
+
+    /// Borrow one cell in its native storage (no allocation).
+    pub(crate) fn cell(&self, row: usize) -> CellRef<'_> {
+        match self {
+            Column::Int64(v) => CellRef::Int(v[row]),
+            Column::Str { arena, spans } => {
+                let (a, b) = spans[row];
+                CellRef::Str(&arena[a as usize..b as usize])
+            }
+            Column::Values(v) => CellRef::Val(&v[row]),
+            Column::Shared(v) => CellRef::Val(&v[row]),
         }
     }
 
@@ -207,19 +223,113 @@ impl Column {
     }
 }
 
+/// One batch cell borrowed in its column's native storage: the unit that
+/// batch-native hashing, key comparison and aggregation read, so integer
+/// and arena-string cells are never turned into owned [`Value`]s.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum CellRef<'a> {
+    /// A cell of an [`Column::Int64`] column.
+    Int(i64),
+    /// A cell of a [`Column::Str`] column.
+    Str(&'a str),
+    /// A cell of a [`Column::Values`] or [`Column::Shared`] column.
+    Val(&'a Value),
+}
+
+impl CellRef<'_> {
+    /// The owned value this cell stands for.
+    pub fn to_value(self) -> Value {
+        match self {
+            CellRef::Int(i) => Value::Int64(i),
+            CellRef::Str(s) => Value::String(s.to_string()),
+            CellRef::Val(v) => v.clone(),
+        }
+    }
+
+    /// Feed the bytes [`asterix_adm::stable_hash`] feeds for the value.
+    pub fn hash_into(self, h: &mut Fnv1a) {
+        match self {
+            CellRef::Int(i) => hash_int64(i, h),
+            CellRef::Str(s) => hash_str(s, h),
+            CellRef::Val(v) => hash_value(v, h),
+        }
+    }
+
+    /// True for `Null`/`Missing` cells.
+    pub fn is_unknown(self) -> bool {
+        matches!(self, CellRef::Val(v) if v.is_unknown())
+    }
+
+    /// Numeric view, as [`Value::as_f64`].
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            CellRef::Int(i) => Some(i as f64),
+            CellRef::Str(_) => None,
+            CellRef::Val(v) => v.as_f64(),
+        }
+    }
+
+    /// True for integer cells (`Value::Int64`).
+    pub fn is_int(self) -> bool {
+        matches!(self, CellRef::Int(_) | CellRef::Val(Value::Int64(_)))
+    }
+
+    /// SQL equality, `sql_compare(a, b) == Some(Equal)`: integer and
+    /// string pairs compare natively, anything else through
+    /// [`sql_compare`] on the borrowed values.
+    pub fn sql_eq(self, other: CellRef<'_>) -> bool {
+        match (self, other) {
+            (CellRef::Int(x), CellRef::Int(y)) => x == y,
+            (CellRef::Str(x), CellRef::Str(y)) => x == y,
+            (CellRef::Str(s), CellRef::Val(v)) | (CellRef::Val(v), CellRef::Str(s)) => {
+                v.as_str() == Some(s)
+            }
+            (CellRef::Int(i), CellRef::Val(v)) | (CellRef::Val(v), CellRef::Int(i)) => {
+                sql_compare(&Value::Int64(i), v) == Some(Ordering::Equal)
+            }
+            (CellRef::Int(_), CellRef::Str(_)) | (CellRef::Str(_), CellRef::Int(_)) => false,
+            (CellRef::Val(x), CellRef::Val(y)) => sql_compare(x, y) == Some(Ordering::Equal),
+        }
+    }
+
+    /// `Value` equality (`==`) between this cell and `v`.
+    pub fn eq_value(self, v: &Value) -> bool {
+        match self {
+            CellRef::Int(i) => matches!(v, Value::Int64(j) if *j == i),
+            CellRef::Str(s) => matches!(v, Value::String(t) if t == s),
+            CellRef::Val(x) => x == v,
+        }
+    }
+
+    /// `Value` total order ([`Ord`]) between this cell and `v`.
+    pub fn cmp_value(self, v: &Value) -> Ordering {
+        match self {
+            CellRef::Int(i) => Value::Int64(i).cmp(v),
+            CellRef::Str(s) => match v {
+                Value::String(t) => s.cmp(t.as_str()),
+                other => ValueKind::String.cmp(&other.kind()),
+            },
+            CellRef::Val(x) => x.cmp(v),
+        }
+    }
+}
+
+/// Hash one row's cells of the given columns exactly as
+/// `stable_hash_many` hashes the same values.
+pub(crate) fn hash_cells(cols: &[&Column], row: usize) -> u64 {
+    let mut h = Fnv1a::new();
+    for col in cols {
+        col.cell(row).hash_into(&mut h);
+    }
+    h.finish()
+}
+
 /// A rectangular, immutable chunk of rows stored column-wise.
 #[derive(Clone, Debug)]
 pub struct Batch {
     len: usize,
     cols: Vec<Column>,
     heap_bytes: u64,
-}
-
-/// A borrowed-or-owned cell used when hashing batch rows without deep
-/// cloning [`Column::Values`] cells.
-enum Slot<'a> {
-    Ref(&'a Value),
-    Owned(Value),
 }
 
 impl Batch {
@@ -285,29 +395,38 @@ impl Batch {
     }
 
     /// Hash the given columns of one row exactly as the row path hashes
-    /// `stable_hash_many(&[&tuple[c], ...])`. Returns `None` when a column
-    /// index is out of bounds (the caller reports a typed error).
+    /// `stable_hash_many(&[&tuple[c], ...])`, reading every cell in place
+    /// (no allocation). Returns `None` when a column index is out of
+    /// bounds (the caller reports a typed error).
     pub fn hash_row(&self, row: usize, hash_cols: &[usize]) -> Option<u64> {
-        let mut slots: Vec<Slot<'_>> = Vec::with_capacity(hash_cols.len());
+        let mut h = Fnv1a::new();
         for &c in hash_cols {
             let col = self.cols.get(c)?;
             if col.len() <= row {
                 return None;
             }
-            slots.push(match col {
-                Column::Values(vs) => Slot::Ref(&vs[row]),
-                Column::Shared(vs) => Slot::Ref(&vs[row]),
-                other => Slot::Owned(other.value(row)),
-            });
+            col.cell(row).hash_into(&mut h);
         }
-        let refs: Vec<&Value> = slots
-            .iter()
-            .map(|s| match s {
-                Slot::Ref(v) => *v,
-                Slot::Owned(v) => v,
-            })
-            .collect();
-        Some(stable_hash_many(&refs))
+        Some(h.finish())
+    }
+
+    /// Assemble a batch of `len` rows from whole columns (each must hold
+    /// `len` cells).
+    pub fn from_columns(len: usize, cols: Vec<Column>) -> Result<Batch, String> {
+        let mut b = Batch {
+            len,
+            cols: Vec::with_capacity(cols.len()),
+            heap_bytes: 0,
+        };
+        for c in cols {
+            b.push_col(c)?;
+        }
+        Ok(b)
+    }
+
+    /// Take the batch apart into its columns.
+    pub fn into_columns(self) -> Vec<Column> {
+        self.cols
     }
 
     /// Gather the given columns of picked rows from aligned source batches
@@ -841,15 +960,78 @@ mod tests {
 
     #[test]
     fn hash_row_matches_row_path() {
-        let rows = sample_rows();
+        use asterix_adm::stable_hash_many;
+        // Int64, arena string, shared record and mixed value columns.
+        let rows = vec![
+            vec![
+                Value::Int64(1),
+                Value::from("ada"),
+                record! {"name" => "ada"},
+                Value::double(2.0),
+            ],
+            vec![
+                Value::Int64(-7),
+                Value::from(""),
+                record! {"name" => "bob", "age" => 3i64},
+                Value::from("x"),
+            ],
+            vec![
+                Value::Int64(i64::MAX),
+                Value::from("ünïcode"),
+                record! {},
+                Value::Null,
+            ],
+        ];
         let b = Batch::from_rows(rows.clone()).unwrap();
-        for (i, row) in rows.iter().enumerate() {
-            for cols in [vec![0usize], vec![1], vec![2], vec![0, 1, 2]] {
+        assert!(matches!(b.col(0), Some(Column::Int64(_))));
+        assert!(matches!(b.col(1), Some(Column::Str { .. })));
+        assert!(matches!(b.col(2), Some(Column::Shared(_))));
+        assert!(matches!(b.col(3), Some(Column::Values(_))));
+        for r in 0..b.len() {
+            let row = b.row(r);
+            for cols in [
+                vec![0usize],
+                vec![1],
+                vec![2],
+                vec![3],
+                vec![1, 0],
+                vec![0, 1, 2, 3],
+                vec![],
+            ] {
                 let refs: Vec<&Value> = cols.iter().map(|c| &row[*c]).collect();
-                assert_eq!(b.hash_row(i, &cols), Some(stable_hash_many(&refs)));
+                assert_eq!(b.hash_row(r, &cols), Some(stable_hash_many(&refs)));
             }
         }
         assert_eq!(b.hash_row(0, &[7]), None);
+    }
+
+    #[test]
+    fn cell_ref_matches_value_semantics() {
+        let b = Batch::from_rows(sample_rows()).unwrap();
+        let vals = [
+            Value::Int64(2),
+            Value::double(2.0),
+            Value::from("bob"),
+            Value::Null,
+            record! {"name" => "bob"},
+        ];
+        for r in 0..b.len() {
+            for c in 0..b.width() {
+                let cell = b.col(c).unwrap().cell(r);
+                let owned = b.row(r)[c].clone();
+                assert_eq!(cell.to_value(), owned);
+                assert_eq!(cell.is_unknown(), owned.is_unknown());
+                assert_eq!(cell.as_f64(), owned.as_f64());
+                for v in &vals {
+                    assert_eq!(cell.eq_value(v), &owned == v);
+                    assert_eq!(cell.cmp_value(v), owned.cmp(v));
+                    let other = CellRef::Val(v);
+                    let want = sql_compare(&owned, v) == Some(Ordering::Equal);
+                    assert_eq!(cell.sql_eq(other), want);
+                    assert_eq!(other.sql_eq(cell), want);
+                }
+            }
+        }
     }
 
     #[test]
