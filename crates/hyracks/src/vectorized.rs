@@ -2,20 +2,31 @@
 //! operators, plus the column-aware expression evaluator every operator
 //! uses in place of row materialization.
 //!
-//! The verify step of an index-accelerated similarity query evaluates the
-//! *same* predicate over every candidate row: `similarity-jaccard(
-//! word-tokens(a), word-tokens(b)) >= δ` or `edit-distance(a, b) <= k`.
-//! Interpreting the predicate re-tokenizes, re-sorts and re-compares
-//! [`Value`] trees per candidate. This module compiles those predicate shapes once per
-//! operator instance into a [`VerifyKernel`] that:
+//! The verify step of a similarity query evaluates the *same* predicate
+//! over every candidate row: `similarity-jaccard(word-tokens(a),
+//! word-tokens(b)) >= δ` or `edit-distance(a, b) <= k`. Interpreting the
+//! predicate re-tokenizes, re-sorts and re-compares [`Value`] trees per
+//! candidate. This module compiles those predicate shapes once per
+//! operator instance into a [`VerifyKernel`]. How a shape runs depends
+//! on its two sides:
 //!
-//! * interns word tokens into dense `u32` ids and caches the token *set*
-//!   per distinct input string, so a probe string that fans out to many
-//!   candidates is tokenized once,
-//! * counts set intersections with a cached [`TokenBitset`] for the
-//!   repeating (probe) side and galloping merge otherwise,
-//! * runs the banded edit-distance check over cached pre-decoded char
-//!   buffers with one reusable [`EdScratch`] per instance.
+//! * **A column against a literal** (a selection's probe, scanned or
+//!   index-verified). The literal is prepared once at compile time: its
+//!   distinct word tokens take the ids `0..|P|`, so membership is
+//!   `id < |P|`, and its chars are decoded once. The column side is
+//!   streamed: each row is tokenized into a reused buffer, its token ids
+//!   are collected, sorted and deduplicated in a reused vector, and only a
+//!   token never seen before allocates. Edit distance applies the §2.2
+//!   length filter on the byte length before it decodes a row's chars
+//!   into a reused buffer. Nothing is cached per row.
+//! * **Two columns** (a join verify, where the outer value repeats over
+//!   many candidates). Token sets and decoded chars are cached per
+//!   distinct string, in maps that are cleared when full; the side that
+//!   repeats from the previous row gets a [`TokenBitset`], otherwise a
+//!   galloping merge counts the intersection.
+//!
+//! Banded or bit-parallel edit distance runs with one reusable
+//! [`EdScratch`] per instance.
 //!
 //! Conjunctions compile too: `And(sim >= δ, residual…)` vectorizes the
 //! similarity conjunct and evaluates the residual conjuncts with a
@@ -37,13 +48,17 @@ use crate::tuple::{Batch, BatchSlice, Column};
 use asterix_adm::Value;
 use asterix_simfn::{
     edit_distance_check_chars, edit_distance_check_chars_scalar, intersection_size_u32,
-    jaccard_from_counts, word_tokens, EdScratch, FunctionRegistry, FxHashMap, TokenBitset,
+    for_each_word_token, jaccard_from_counts, EdScratch, FunctionRegistry, FxHashMap, TokenBitset,
 };
 use std::sync::Arc;
 
 /// Distinct input strings whose token sets / char buffers one kernel
-/// instance caches (LRU).
+/// instance caches for column-vs-column verifies.
 const KERNEL_CACHE_CAPACITY: usize = 4096;
+
+/// Distinct tokens a constant-probe Jaccard remembers before it forgets
+/// the column-side ones.
+const PROBE_VOCABULARY_CAPACITY: usize = 1 << 16;
 
 /// A verify-predicate argument: a column, a field path rooted at a
 /// column, or a literal.
@@ -133,68 +148,122 @@ impl ArgExpr {
 enum VerifyPlan {
     /// `similarity-jaccard(word-tokens(a), word-tokens(b)) >=|> δ`
     Jaccard {
-        a: ArgExpr,
-        b: ArgExpr,
+        sides: Sides<TokenProbe>,
         op: CmpOp,
         delta: f64,
     },
     /// `edit-distance(a, b) <=|< k`
     EditDistance {
-        a: ArgExpr,
-        b: ArgExpr,
+        sides: Sides<CharProbe>,
         op: CmpOp,
         k: i64,
     },
     /// `edit-distance-check(a, b, k)` used directly as the predicate.
-    EdCheck { a: ArgExpr, b: ArgExpr, k: u32 },
+    EdCheck { sides: Sides<CharProbe>, k: u32 },
 }
 
-/// Word-token sets interned to dense `u32` ids, cached per input string.
+/// The two arguments of a verify shape: a column side facing a literal
+/// that was prepared once at compile time (a selection's constant probe),
+/// or two column sides (a join verify).
+enum Sides<P> {
+    Probe { col: ArgExpr, probe: P },
+    Cols(ArgExpr, ArgExpr),
+}
+
+impl<P> Sides<P> {
+    /// Prepare the literal side when it is a string or unknown literal;
+    /// anything else keeps both sides as they are.
+    fn compile(a: ArgExpr, b: ArgExpr, prepare: impl FnOnce(Option<&str>) -> P) -> Sides<P> {
+        let (col, lit) = match (a, b) {
+            (col, ArgExpr::Lit(v)) | (ArgExpr::Lit(v), col) => (col, v),
+            (a, b) => return Sides::Cols(a, b),
+        };
+        match side_str(Cell::Val(&lit)) {
+            Some(s) => Sides::Probe {
+                col,
+                probe: prepare(s),
+            },
+            None => Sides::Cols(col, ArgExpr::Lit(lit)),
+        }
+    }
+}
+
+/// The prepared literal of a constant-probe Jaccard: its distinct tokens
+/// hold ids `0..len`, so a column token is in the probe iff its id is
+/// below `len`. Column tokens are interned into the same map the first
+/// time the operator sees them.
+struct TokenProbe {
+    ids: FxHashMap<String, u32>,
+    len: usize,
+}
+
+impl TokenProbe {
+    /// `s` is the literal's string, `None` for a NULL/MISSING literal
+    /// (whose `word-tokens` is the empty list).
+    fn new(s: Option<&str>) -> TokenProbe {
+        let mut ids = FxHashMap::default();
+        for_each_word_token(s.unwrap_or(""), &mut String::new(), |t| {
+            intern(&mut ids, t);
+        });
+        let len = ids.len();
+        TokenProbe { ids, len }
+    }
+
+    /// Forget the column-side tokens once the vocabulary outgrows
+    /// [`PROBE_VOCABULARY_CAPACITY`], keeping the probe's own ids. Called
+    /// between rows, so a row's ids all come from one map.
+    fn bound(&mut self) {
+        if self.ids.len() > PROBE_VOCABULARY_CAPACITY {
+            let len = self.len as u32;
+            self.ids.retain(|_, id| *id < len);
+        }
+    }
+}
+
+/// The prepared literal of a constant-probe edit distance: its chars,
+/// `None` for a NULL/MISSING literal.
+type CharProbe = Option<Vec<char>>;
+
+/// The id of `tok` in `ids`, assigning the next dense id on first sight.
+fn intern(ids: &mut FxHashMap<String, u32>, tok: &str) -> u32 {
+    if let Some(&id) = ids.get(tok) {
+        return id;
+    }
+    let id = ids.len() as u32;
+    ids.insert(tok.to_owned(), id);
+    id
+}
+
+/// Word-token sets of column-vs-column verifies, interned to dense `u32`
+/// ids and cached per input string.
 #[derive(Default)]
 struct TokenInterner {
     ids: FxHashMap<String, u32>,
-    sets: FxHashMap<String, (Arc<[u32]>, u64)>,
-    clock: u64,
+    sets: FxHashMap<String, Arc<[u32]>>,
 }
 
 impl TokenInterner {
-    /// The distinct, sorted token-id set of `s` (cached).
-    fn token_set(&mut self, s: &str) -> Arc<[u32]> {
-        self.clock += 1;
-        let stamp = self.clock;
-        if let Some(slot) = self.sets.get_mut(s) {
-            slot.1 = stamp;
-            return slot.0.clone();
+    /// The distinct, sorted token-id set of `s` (cached; the cache is
+    /// cleared when full).
+    fn token_set(&mut self, s: &str, buf: &mut String) -> Arc<[u32]> {
+        if let Some(set) = self.sets.get(s) {
+            return set.clone();
         }
         let mut ids: Vec<u32> = Vec::new();
-        for tok in word_tokens(s) {
-            let next = self.ids.len() as u32;
-            ids.push(*self.ids.entry(tok).or_insert(next));
-        }
+        for_each_word_token(s, buf, |t| ids.push(intern(&mut self.ids, t)));
         ids.sort_unstable();
         ids.dedup();
         let set: Arc<[u32]> = ids.into();
         if self.sets.len() >= KERNEL_CACHE_CAPACITY {
-            evict_lru(&mut self.sets);
+            self.sets.clear();
         }
-        self.sets.insert(s.to_string(), (set.clone(), stamp));
+        self.sets.insert(s.to_string(), set.clone());
         set
     }
 
     /// Current id universe (bitsets built now cover every interned id).
     fn universe(&self) -> usize {
         self.ids.len()
-    }
-}
-
-/// Evict the least-recently-stamped entry of an LRU map.
-fn evict_lru<V>(map: &mut FxHashMap<String, (V, u64)>) {
-    if let Some(victim) = map
-        .iter()
-        .min_by_key(|(_, (_, stamp))| *stamp)
-        .map(|(k, _)| k.clone())
-    {
-        map.remove(&victim);
     }
 }
 
@@ -231,20 +300,27 @@ pub struct VerifyKernel {
     state: KernelState,
 }
 
-/// The mutable caches of one kernel instance.
+/// The mutable state of one kernel instance: reused buffers for the
+/// streamed column side of constant-probe plans, and the caches of
+/// column-vs-column plans.
 #[derive(Default)]
 struct KernelState {
+    /// Token buffer of [`for_each_word_token`].
+    token_buf: String,
+    /// One row's token ids (constant-probe Jaccard).
+    row_ids: Vec<u32>,
+    /// One row's decoded chars (constant-probe edit distance).
+    row_chars: Vec<char>,
     interner: TokenInterner,
-    /// Bitset of the last probe-side token set, reused while consecutive
-    /// rows share the same (Arc-identical) probe set.
+    /// Bitset of the last repeating side's token set, reused while
+    /// consecutive rows share the same (Arc-identical) set.
     probe: Option<(Arc<[u32]>, TokenBitset)>,
     /// Previous row's token sets, used to detect which side repeats (the
-    /// probe constant in selections, the outer key in joins).
+    /// outer key of a join).
     prev_a: Option<Arc<[u32]>>,
     prev_b: Option<Arc<[u32]>>,
-    /// Decoded char buffers per distinct input string (LRU).
-    chars: FxHashMap<String, (Arc<[char]>, u64)>,
-    chars_clock: u64,
+    /// Decoded char buffers per distinct input string (cleared when full).
+    chars: FxHashMap<String, Arc<[char]>>,
     scratch: EdScratch,
     /// Allow the Myers bit-parallel edit-distance dispatch; `false` pins
     /// the scalar banded DP (the `disable_kernels` switch).
@@ -280,8 +356,11 @@ fn compile_cmp(op: CmpOp, call: &Expr, konst: &Expr) -> Option<VerifyPlan> {
     match name.as_str() {
         "similarity-jaccard" if args.len() == 2 && matches!(op, CmpOp::Ge | CmpOp::Gt) => {
             Some(VerifyPlan::Jaccard {
-                a: tokens_arg(&args[0])?,
-                b: tokens_arg(&args[1])?,
+                sides: Sides::compile(
+                    tokens_arg(&args[0])?,
+                    tokens_arg(&args[1])?,
+                    TokenProbe::new,
+                ),
                 op,
                 delta: cv.as_f64()?,
             })
@@ -289,14 +368,20 @@ fn compile_cmp(op: CmpOp, call: &Expr, konst: &Expr) -> Option<VerifyPlan> {
         "edit-distance" if args.len() == 2 && matches!(op, CmpOp::Le | CmpOp::Lt) => {
             let Value::Int64(k) = cv else { return None };
             Some(VerifyPlan::EditDistance {
-                a: ArgExpr::compile(&args[0])?,
-                b: ArgExpr::compile(&args[1])?,
+                sides: char_sides(&args[0], &args[1])?,
                 op,
                 k: *k,
             })
         }
         _ => None,
     }
+}
+
+/// The sides of an edit-distance shape, a literal one decoded to chars.
+fn char_sides(a: &Expr, b: &Expr) -> Option<Sides<CharProbe>> {
+    Some(Sides::compile(ArgExpr::compile(a)?, ArgExpr::compile(b)?, |s| {
+        s.map(|s| s.chars().collect())
+    }))
 }
 
 /// Compile one expression into a vectorized plan when it matches a
@@ -314,8 +399,7 @@ fn compile_plan(pred: &Expr) -> Option<VerifyPlan> {
                 return None;
             }
             Some(VerifyPlan::EdCheck {
-                a: ArgExpr::compile(&args[0])?,
-                b: ArgExpr::compile(&args[1])?,
+                sides: char_sides(&args[0], &args[1])?,
                 k: *k as u32,
             })
         }
@@ -384,7 +468,7 @@ impl VerifyKernel {
             // left to right, short-circuit on the first false, track
             // unknowns, and propagate the first error eagerly.
             let mut accept = true;
-            for c in &self.conjuncts {
+            for c in &mut self.conjuncts {
                 let tri = match c {
                     Conjunct::Fast { plan, expr } => {
                         match self.state.eval_plan(plan, batch, row) {
@@ -422,22 +506,28 @@ impl KernelState {
     /// Vectorized per-row decision; `None` means "fall back to the
     /// interpreted path". The returned [`Tri`] matches the three-valued
     /// result the interpreter would compute for the same conjunct.
-    fn eval_plan(&mut self, plan: &VerifyPlan, batch: &Batch, row: usize) -> Option<Tri> {
+    fn eval_plan(&mut self, plan: &mut VerifyPlan, batch: &Batch, row: usize) -> Option<Tri> {
         match plan {
-            VerifyPlan::Jaccard { a, b, op, delta } => {
+            VerifyPlan::Jaccard { sides, op, delta } => {
                 let (op, delta) = (*op, *delta);
-                let sa = side_str(a.cell(batch, row))?;
-                let sb = side_str(b.cell(batch, row))?;
-                let set_a = match sa {
-                    Some(s) => self.interner.token_set(s),
-                    None => Arc::from(Vec::new()),
+                let sim = match sides {
+                    Sides::Probe { col, probe } => {
+                        // word-tokens of NULL/MISSING is the empty list.
+                        let (len, inter) = match side_str(col.cell(batch, row))? {
+                            Some(s) => self.stream_tokens(probe, s),
+                            None => (0, 0),
+                        };
+                        jaccard_from_counts(len, probe.len, inter)
+                    }
+                    Sides::Cols(a, b) => {
+                        let sa = side_str(a.cell(batch, row))?;
+                        let sb = side_str(b.cell(batch, row))?;
+                        let set_a = self.cached_token_set(sa);
+                        let set_b = self.cached_token_set(sb);
+                        let inter = self.intersection(&set_a, &set_b);
+                        jaccard_from_counts(set_a.len(), set_b.len(), inter)
+                    }
                 };
-                let set_b = match sb {
-                    Some(s) => self.interner.token_set(s),
-                    None => Arc::from(Vec::new()),
-                };
-                let inter = self.intersection(&set_a, &set_b);
-                let sim = jaccard_from_counts(set_a.len(), set_b.len(), inter);
                 // `sql_compare` on two doubles is `partial_cmp`; None
                 // (NaN) makes the comparison unknown.
                 Some(match sim.partial_cmp(&delta) {
@@ -446,7 +536,7 @@ impl KernelState {
                     None => Tri::Null,
                 })
             }
-            VerifyPlan::EditDistance { a, b, op, k } => {
+            VerifyPlan::EditDistance { sides, op, k } => {
                 // `< k` means `<= k - 1`; saturate so `< i64::MIN` simply
                 // stays an always-false threshold instead of overflowing.
                 let threshold = if *op == CmpOp::Lt {
@@ -454,55 +544,101 @@ impl KernelState {
                 } else {
                     *k
                 };
-                let sa = side_str(a.cell(batch, row))?;
-                let sb = side_str(b.cell(batch, row))?;
-                let (Some(sa), Some(sb)) = (sa, sb) else {
-                    // edit-distance(unknown, _) is NULL; NULL <= k is
-                    // unknown.
-                    return Some(Tri::Null);
-                };
-                if threshold < 0 {
-                    return Some(Tri::False);
-                }
-                let ca = self.cached_chars(sa);
-                let cb = self.cached_chars(sb);
                 // Any actual edit distance fits u32 (it is bounded by the
                 // char lengths), so clamping an enormous threshold keeps
-                // the check's outcome unchanged.
-                let t = threshold.min(u32::MAX as i64) as u32;
-                let within = self.ed_check(&ca, &cb, t).is_some();
-                Some(if within { Tri::True } else { Tri::False })
+                // the check's outcome unchanged; a negative one accepts
+                // nothing.
+                let k = u32::try_from(threshold.min(u32::MAX as i64)).ok();
+                // edit-distance(unknown, _) is NULL; NULL <= k is unknown.
+                Some(match self.ed_within(sides, batch, row, k)? {
+                    Some(true) => Tri::True,
+                    Some(false) => Tri::False,
+                    None => Tri::Null,
+                })
             }
-            VerifyPlan::EdCheck { a, b, k } => {
-                let k = *k;
-                let sa = side_str(a.cell(batch, row))?;
-                let sb = side_str(b.cell(batch, row))?;
-                let (Some(sa), Some(sb)) = (sa, sb) else {
-                    // edit-distance-check(unknown, _, k) is false.
-                    return Some(Tri::False);
-                };
-                let ca = self.cached_chars(sa);
-                let cb = self.cached_chars(sb);
-                let within = self.ed_check(&ca, &cb, k).is_some();
-                Some(if within { Tri::True } else { Tri::False })
+            VerifyPlan::EdCheck { sides, k } => {
+                // edit-distance-check(unknown, _, k) is false.
+                Some(match self.ed_within(sides, batch, row, Some(*k))? {
+                    Some(true) => Tri::True,
+                    _ => Tri::False,
+                })
             }
         }
     }
 
-    /// Threshold-checked edit distance through the instance scratch,
-    /// honouring the bit-parallel switch.
-    fn ed_check(&mut self, a: &[char], b: &[char], k: u32) -> Option<u32> {
-        if self.use_bitparallel {
-            edit_distance_check_chars(a, b, k, &mut self.scratch)
-        } else {
-            edit_distance_check_chars_scalar(a, b, k, &mut self.scratch)
+    /// Whether one row's two edit-distance sides are within `k` (`None`:
+    /// accept nothing); `Some(None)` when a side is NULL/MISSING, `None`
+    /// to fall back.
+    fn ed_within(
+        &mut self,
+        sides: &Sides<CharProbe>,
+        batch: &Batch,
+        row: usize,
+        k: Option<u32>,
+    ) -> Option<Option<bool>> {
+        Some(match sides {
+            Sides::Probe { col, probe } => match (side_str(col.cell(batch, row))?, probe) {
+                (Some(s), Some(p)) => Some(k.is_some_and(|k| self.stream_ed(p, s, k))),
+                _ => None,
+            },
+            Sides::Cols(a, b) => {
+                match (side_str(a.cell(batch, row))?, side_str(b.cell(batch, row))?) {
+                    (Some(sa), Some(sb)) => Some(k.is_some_and(|k| self.cached_ed(sa, sb, k))),
+                    _ => None,
+                }
+            }
+        })
+    }
+
+    /// `(|R|, |P ∩ R|)` for the distinct word tokens `R` of the column
+    /// string `s` against the prepared probe `P`, with no allocation
+    /// beyond interning a token the operator has not seen before.
+    fn stream_tokens(&mut self, probe: &mut TokenProbe, s: &str) -> (usize, usize) {
+        let ids = &mut self.row_ids;
+        ids.clear();
+        for_each_word_token(s, &mut self.token_buf, |t| ids.push(intern(&mut probe.ids, t)));
+        probe.bound();
+        ids.sort_unstable();
+        ids.dedup();
+        let inter = ids.partition_point(|&id| (id as usize) < probe.len);
+        (ids.len(), inter)
+    }
+
+    /// Whether the column string `s` is within edit distance `k` of the
+    /// prepared probe chars. The §2.2 length filter runs on byte lengths
+    /// first: `s` has between `⌈n/4⌉` and `n` chars for `n` bytes, exactly
+    /// `n` when ASCII, so most far-off strings are rejected undecoded.
+    fn stream_ed(&mut self, probe: &[char], s: &str, k: u32) -> bool {
+        let n = s.len();
+        let (lo, hi) = if s.is_ascii() { (n, n) } else { (n.div_ceil(4), n) };
+        let (m, k_len) = (probe.len(), k as usize);
+        if m > hi.saturating_add(k_len) || lo > m.saturating_add(k_len) {
+            return false;
+        }
+        self.row_chars.clear();
+        self.row_chars.extend(s.chars());
+        ed_check(self.use_bitparallel, &mut self.scratch, probe, &self.row_chars, k).is_some()
+    }
+
+    /// Whether two column strings are within edit distance `k`, through
+    /// the decoded-char cache.
+    fn cached_ed(&mut self, a: &str, b: &str, k: u32) -> bool {
+        let ca = self.cached_chars(a);
+        let cb = self.cached_chars(b);
+        ed_check(self.use_bitparallel, &mut self.scratch, &ca, &cb, k).is_some()
+    }
+
+    /// The cached token set of a column string, empty for NULL/MISSING.
+    fn cached_token_set(&mut self, s: Option<&str>) -> Arc<[u32]> {
+        match s {
+            Some(s) => self.interner.token_set(s, &mut self.token_buf),
+            None => Arc::from(Vec::new()),
         }
     }
 
     /// Distinct-token intersection size. The side that repeated from the
-    /// previous row (the probe constant in selections, the outer key in
-    /// joins) gets a cached bitset; without a repeating side, a galloping
-    /// merge answers directly.
+    /// previous row (the outer key of a join) gets a cached bitset;
+    /// without a repeating side, a galloping merge answers directly.
     fn intersection(&mut self, a: &Arc<[u32]>, b: &Arc<[u32]>) -> usize {
         let a_repeats = self.prev_a.as_ref().is_some_and(|p| Arc::ptr_eq(p, a));
         let b_repeats = self.prev_b.as_ref().is_some_and(|p| Arc::ptr_eq(p, b));
@@ -529,20 +665,35 @@ impl KernelState {
         }
     }
 
-    /// Decoded chars of `s`, cached per distinct string (LRU).
+    /// Decoded chars of `s`, cached per distinct string (the cache is
+    /// cleared when full).
     fn cached_chars(&mut self, s: &str) -> Arc<[char]> {
-        self.chars_clock += 1;
-        let stamp = self.chars_clock;
-        if let Some(slot) = self.chars.get_mut(s) {
-            slot.1 = stamp;
-            return slot.0.clone();
+        if let Some(chars) = self.chars.get(s) {
+            return chars.clone();
         }
         let decoded: Arc<[char]> = s.chars().collect();
         if self.chars.len() >= KERNEL_CACHE_CAPACITY {
-            evict_lru(&mut self.chars);
+            self.chars.clear();
         }
-        self.chars.insert(s.to_string(), (decoded.clone(), stamp));
+        self.chars.insert(s.to_string(), decoded.clone());
         decoded
+    }
+}
+
+/// Threshold-checked edit distance through the instance scratch: the
+/// Myers bit-parallel dispatch, or the scalar banded DP when
+/// `use_bitparallel` is off.
+fn ed_check(
+    use_bitparallel: bool,
+    scratch: &mut EdScratch,
+    a: &[char],
+    b: &[char],
+    k: u32,
+) -> Option<u32> {
+    if use_bitparallel {
+        edit_distance_check_chars(a, b, k, scratch)
+    } else {
+        edit_distance_check_chars_scalar(a, b, k, scratch)
     }
 }
 
@@ -989,8 +1140,8 @@ mod tests {
 
     #[test]
     fn probe_bitset_reuse_across_rows() {
-        // Many rows sharing the probe constant: one tokenization, one
-        // bitset, identical acceptance.
+        // Many rows sharing the probe constant: the probe is tokenized
+        // once at compile time, acceptance is identical.
         let rows: Vec<Tuple> = (0..200)
             .map(|i| {
                 vec![
@@ -1041,10 +1192,9 @@ mod tests {
 
     #[test]
     fn interner_universe_growth_keeps_probe_bitset_correct() {
-        // First rows establish a small universe; later rows introduce new
-        // tokens (larger ids) while the probe bitset was built small. The
-        // stale bitset must still answer correctly (out-of-universe ids
-        // are simply absent).
+        // First rows establish a small vocabulary; later rows introduce
+        // new tokens (larger ids). Ids past the probe's own are simply
+        // not members of it.
         let mut rows: Vec<Tuple> = vec![vec![
             record! {"summary" => "great product"},
             Value::from("x"),
@@ -1061,5 +1211,221 @@ mod tests {
         let got = k.eval_slice(&slice, &reg()).unwrap();
         assert_eq!(got, row_path(&pred, &slice));
         let _ = Arc::strong_count(&slice.batch);
+    }
+
+    #[test]
+    fn column_caches_stay_bounded_past_capacity() {
+        // Two-column verifies cache per distinct string; more distinct
+        // strings than the capacity must clear the caches, not grow them,
+        // and leave every answer unchanged.
+        let n = 2 * KERNEL_CACHE_CAPACITY + 10;
+        let rows: Vec<Tuple> = (0..n)
+            .map(|i| {
+                vec![
+                    Value::from(format!("w{i} great product")),
+                    Value::from(format!("w{} great gift", i / 2)),
+                ]
+            })
+            .collect();
+        let slice = slice_of(rows);
+        let jaccard = Expr::cmp(
+            CmpOp::Ge,
+            Expr::call(
+                "similarity-jaccard",
+                vec![
+                    Expr::call("word-tokens", vec![Expr::col(0)]),
+                    Expr::call("word-tokens", vec![Expr::col(1)]),
+                ],
+            ),
+            Expr::lit(0.5),
+        );
+        let ed = Expr::cmp(
+            CmpOp::Le,
+            Expr::call("edit-distance", vec![Expr::col(0), Expr::col(1)]),
+            Expr::lit(7i64),
+        );
+        for pred in [jaccard, ed] {
+            let mut k = VerifyKernel::compile(&pred).expect("compiles");
+            let got = k.eval_slice(&slice, &reg()).unwrap();
+            let want = row_path(&pred, &slice);
+            assert!(!want.is_empty() && want.len() < n, "{pred:?} must split the rows");
+            assert_eq!(got, want, "{pred:?}");
+            assert!(k.state.interner.sets.len() <= KERNEL_CACHE_CAPACITY);
+            assert!(k.state.chars.len() <= KERNEL_CACHE_CAPACITY);
+            assert!(k.state.interner.sets.len() + k.state.chars.len() > 0);
+        }
+    }
+
+    #[test]
+    fn probe_vocabulary_forgets_column_tokens_past_capacity() {
+        // One row brings more new tokens than the vocabulary keeps; the
+        // column-side ids are dropped after it, the probe's stay, and
+        // later rows still see the probe tokens as members.
+        let flood: String = (0..PROBE_VOCABULARY_CAPACITY + 10)
+            .map(|i| format!("t{i} "))
+            .collect();
+        let rows: Vec<Tuple> = [flood.as_str(), "great value", "product x", "great product"]
+            .into_iter()
+            .map(|s| vec![record! {"summary" => s}, Value::from("x")])
+            .collect();
+        let slice = slice_of(rows);
+        let pred = jaccard_pred(CmpOp::Gt, 0.0);
+        let mut k = VerifyKernel::compile(&pred).expect("compiles");
+        let got = k.eval_slice(&slice, &reg()).unwrap();
+        assert_eq!(got, row_path(&pred, &slice));
+        assert_eq!(got, vec![1, 2, 3]);
+        let Conjunct::Fast {
+            plan: VerifyPlan::Jaccard { sides: Sides::Probe { probe, .. }, .. },
+            ..
+        } = &k.conjuncts[0]
+        else {
+            panic!("constant-probe Jaccard expected");
+        };
+        assert!(probe.ids.len() <= probe.len + 3, "column tokens were kept");
+    }
+
+    mod constant_probe {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Strings whose byte and char lengths differ, multi-char
+        /// lowercase expansions, non-ASCII letters and digits, empty and
+        /// punctuation-only strings, and repeated tokens.
+        fn text() -> impl Strategy<Value = String> {
+            let words = prop::sample::select(vec![
+                "great", "GREAT", "product", "Gift", "a", "ab", "İ", "straße", "٣",
+            ]);
+            prop_oneof![
+                Just(String::new()),
+                "[ ,.;!?-]{1,4}",
+                prop::collection::vec(words, 0..5).prop_map(|w| w.join(" ")),
+                "[a-dA-D0-9 ]{0,8}",
+                "[a-cİIıßẞΣσςéÉ\u{301}٣½Ⅻ ,]{0,8}",
+                prop::collection::vec(0u32..0x11_0000, 0..8)
+                    .prop_map(|cps| cps.into_iter().filter_map(char::from_u32).collect()),
+            ]
+        }
+
+        /// A field value: mostly a string, else NULL, MISSING or an
+        /// integer.
+        fn field() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                text().prop_map(Value::from),
+                text().prop_map(Value::from),
+                text().prop_map(Value::from),
+                Just(Value::Null),
+                Just(Value::Missing),
+                (-3i64..3).prop_map(Value::Int64),
+            ]
+        }
+
+        /// A probe literal: mostly a string, else NULL or MISSING.
+        fn literal() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                text().prop_map(Value::from),
+                text().prop_map(Value::from),
+                text().prop_map(Value::from),
+                Just(Value::Null),
+                Just(Value::Missing),
+            ]
+        }
+
+        /// A record with `summary` (absent when MISSING) and a bare name
+        /// column.
+        fn row(summary: Value, name: Value) -> Tuple {
+            let fields = match summary {
+                Value::Missing => vec![],
+                v => vec![("summary".to_string(), v)],
+            };
+            vec![Value::record(fields), name]
+        }
+
+        fn pred_strategy() -> impl Strategy<Value = Expr> {
+            let either = |col: Expr, lit: Expr, lit_first: bool| {
+                if lit_first {
+                    vec![lit, col]
+                } else {
+                    vec![col, lit]
+                }
+            };
+            let jaccard = (
+                literal(),
+                any::<bool>(),
+                any::<bool>(),
+                prop::sample::select(vec![0.0, 1e-9, 0.5, 1.0]),
+            )
+                .prop_map(move |(lit, lit_first, strict, delta)| {
+                    let tokens = |e: Expr| Expr::call("word-tokens", vec![e]);
+                    let args = either(
+                        tokens(Expr::col(0).field("summary")),
+                        tokens(Expr::Const(lit)),
+                        lit_first,
+                    );
+                    let op = if strict { CmpOp::Gt } else { CmpOp::Ge };
+                    Expr::cmp(op, Expr::call("similarity-jaccard", args), Expr::lit(delta))
+                });
+            let ed = (
+                literal(),
+                any::<bool>(),
+                any::<bool>(),
+                prop::sample::select(vec![-1i64, 0, 1, 2, 1000]),
+            )
+                .prop_map(move |(lit, lit_first, strict, k)| {
+                    let args = either(Expr::col(1), Expr::Const(lit), lit_first);
+                    let op = if strict { CmpOp::Lt } else { CmpOp::Le };
+                    Expr::cmp(op, Expr::call("edit-distance", args), Expr::lit(k))
+                });
+            let check = (literal(), any::<bool>(), prop::sample::select(vec![0i64, 1, 2, 1000]))
+                .prop_map(move |(lit, lit_first, k)| {
+                    let col = Expr::col(0).field("summary");
+                    let mut args = either(col, Expr::Const(lit), lit_first);
+                    args.push(Expr::lit(k));
+                    Expr::call("edit-distance-check", args)
+                });
+            prop_oneof![jaccard, ed, check]
+        }
+
+        /// The interpreter over one slice: accepted positions, or the
+        /// first row's error.
+        fn reference(pred: &Expr, slice: &BatchSlice) -> Result<Vec<u32>, ()> {
+            let reg = reg();
+            let mut keep = Vec::new();
+            for p in 0..slice.len() {
+                if pred.eval(&slice.row(p), &reg).map_err(|_| ())?.is_true() {
+                    keep.push(p as u32);
+                }
+            }
+            Ok(keep)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn constant_probe_kernel_matches_interpreter(
+                pred in pred_strategy(),
+                rows in prop::collection::vec((field(), field()), 0..24),
+                chunk in 1usize..6,
+                bitparallel in any::<bool>(),
+            ) {
+                let mut kernel = VerifyKernel::compile_with(&pred, bitparallel)
+                    .expect("verify shape compiles");
+                let rows: Vec<Tuple> = rows.into_iter().map(|(s, n)| row(s, n)).collect();
+                // One kernel over several slices, so the prepared probe
+                // is reused across frames.
+                for part in rows.chunks(chunk) {
+                    let slice = slice_of(part.to_vec());
+                    let want = reference(&pred, &slice);
+                    let got = kernel.eval_slice(&slice, &reg()).map_err(|_| ());
+                    prop_assert_eq!(&got, &want, "{:?}", pred);
+                    if got.is_err() {
+                        break;
+                    }
+                }
+                // A constant-probe plan never fills the two-column caches.
+                prop_assert!(kernel.state.interner.sets.is_empty());
+                prop_assert!(kernel.state.chars.is_empty());
+            }
+        }
     }
 }

@@ -49,4 +49,4 @@ pub use toccurrence::{
     t_occurrence_intersect, t_occurrence_ranks, t_occurrence_scan_count, DivideSkipStats,
     IntersectScratch, RankCountScratch, GALLOP_SKEW_RATIO,
 };
-pub use tokenize::{gram_tokens, word_tokens};
+pub use tokenize::{for_each_word_token, gram_tokens, word_tokens};

@@ -216,13 +216,11 @@ impl FunctionRegistry {
             expect_arity(args, 2, "jaccard-can-use-index")?;
             let n = int_arg(&args[1], "jaccard-can-use-index")?.max(0) as usize;
             let has_tokens = match &args[0] {
-                Value::String(s) => {
-                    if n == 0 {
-                        !crate::tokenize::word_tokens(s).is_empty()
-                    } else {
-                        !crate::tokenize::gram_tokens(s, n).is_empty()
-                    }
-                }
+                // Without materialising tokens: a string has a word token
+                // iff it has an alphanumeric char, and a gram iff it is
+                // non-empty (`to_lowercase` never yields an empty string).
+                Value::String(s) if n == 0 => s.chars().any(char::is_alphanumeric),
+                Value::String(s) => !s.is_empty(),
                 // A keyword index on a list field uses the list elements.
                 Value::OrderedList(items) | Value::UnorderedList(items) => {
                     n == 0 && !items.is_empty()
@@ -368,6 +366,7 @@ pub fn measure_applicable(measure: &SimilarityMeasure, kind: ValueKind) -> bool 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn list_of(words: &[&str]) -> Value {
         Value::OrderedList(words.iter().map(|w| Value::from(*w)).collect())
@@ -524,5 +523,29 @@ mod tests {
         let r = FunctionRegistry::with_builtins();
         assert!(r.call("edit-distance", &[Value::from("a")]).is_err());
         assert!(r.call("len", &[]).is_err());
+    }
+
+    proptest! {
+        #[test]
+        fn prop_jaccard_can_use_index_matches_token_lists(
+            s in prop_oneof![
+                prop::collection::vec(0u32..0x11_0000, 0..8)
+                    .prop_map(|cps| cps.into_iter().filter_map(char::from_u32).collect()),
+                "[ ,.;!İÄé0-9a-zA-Z\u{301}\u{2003}]{0,6}",
+            ],
+            n in -1i64..5,
+        ) {
+            // The definition before it stopped materialising tokens.
+            let expected = if n <= 0 {
+                !crate::tokenize::word_tokens(&s).is_empty()
+            } else {
+                !crate::tokenize::gram_tokens(&s, n as usize).is_empty()
+            };
+            let r = FunctionRegistry::with_builtins();
+            prop_assert_eq!(
+                r.call("jaccard-can-use-index", &[Value::from(s.as_str()), Value::Int64(n)]),
+                Ok(Value::Boolean(expected))
+            );
+        }
     }
 }

@@ -9,6 +9,49 @@
 //! n-grams. Both return *distinct* token lists in first-occurrence order
 //! via the `*_distinct` variants used by the set-semantics similarity path.
 
+/// Visit the lowercase word tokens (alphanumeric runs) of `s` in order,
+/// duplicates included, building each one in the caller's reusable `buf`
+/// so a caller that only looks at the tokens allocates nothing per call.
+/// This is the one word tokenizer: [`word_tokens`], the keyword index and
+/// the verify kernels all go through it.
+///
+/// An all-ASCII string takes a byte loop (`is_ascii_alphanumeric`,
+/// `to_ascii_lowercase`), which on ASCII is exactly the `char` rule
+/// (`is_alphanumeric`, then every char of `to_lowercase`) used otherwise.
+///
+/// ```
+/// use asterix_simfn::tokenize::for_each_word_token;
+/// let mut seen = Vec::new();
+/// for_each_word_token("Nice, NICE gift", &mut String::new(), |t| seen.push(t.len()));
+/// assert_eq!(seen, vec![4, 4, 4]);
+/// ```
+pub fn for_each_word_token(s: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+    buf.clear();
+    if s.is_ascii() {
+        for &b in s.as_bytes() {
+            if b.is_ascii_alphanumeric() {
+                buf.push(b.to_ascii_lowercase() as char);
+            } else if !buf.is_empty() {
+                f(buf);
+                buf.clear();
+            }
+        }
+    } else {
+        for ch in s.chars() {
+            if ch.is_alphanumeric() {
+                buf.extend(ch.to_lowercase());
+            } else if !buf.is_empty() {
+                f(buf);
+                buf.clear();
+            }
+        }
+    }
+    if !buf.is_empty() {
+        f(buf);
+        buf.clear();
+    }
+}
+
 /// Split a string into lowercase word tokens (alphanumeric runs). Keeps
 /// duplicates and order.
 ///
@@ -19,17 +62,7 @@
 /// ```
 pub fn word_tokens(s: &str) -> Vec<String> {
     let mut tokens = Vec::new();
-    let mut cur = String::new();
-    for ch in s.chars() {
-        if ch.is_alphanumeric() {
-            cur.extend(ch.to_lowercase());
-        } else if !cur.is_empty() {
-            tokens.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        tokens.push(cur);
-    }
+    for_each_word_token(s, &mut String::new(), |t| tokens.push(t.to_owned()));
     tokens
 }
 
@@ -142,6 +175,40 @@ mod tests {
                 // letters like 𝔄 have no lowercase mapping and survive).
                 prop_assert_eq!(t.clone(), t.to_lowercase());
             }
+        }
+
+        #[test]
+        fn prop_visitor_matches_char_reference(
+            s in prop_oneof![
+                // Arbitrary Unicode scalar values.
+                prop::collection::vec(0u32..0x11_0000, 0..24)
+                    .prop_map(|cps| cps.into_iter().filter_map(char::from_u32).collect()),
+                // Mixed ASCII / non-ASCII runs.
+                prop::collection::vec(
+                    prop_oneof![
+                        "[a-zA-Z0-9 ,.;'-]{1,6}",
+                        "[ÄÖÜäöüßẞİIıσςΣΩ𝔄٣½ⅫéÉ\u{301}ǅ]{1,3}",
+                        (0u32..0x11_0000).prop_map(|cp| {
+                            char::from_u32(cp).map(String::from).unwrap_or_default()
+                        }),
+                    ],
+                    0..8,
+                )
+                .prop_map(|parts| parts.concat()),
+            ]
+        ) {
+            // Reference: split on `!char::is_alphanumeric`, then extend
+            // each token with `char::to_lowercase`.
+            let reference: Vec<String> = s
+                .split(|c: char| !c.is_alphanumeric())
+                .filter(|t| !t.is_empty())
+                .map(|t| t.chars().flat_map(char::to_lowercase).collect())
+                .collect();
+            let mut visited = Vec::new();
+            let mut buf = String::from("stale");
+            for_each_word_token(&s, &mut buf, |t| visited.push(t.to_owned()));
+            prop_assert_eq!(&visited, &reference);
+            prop_assert_eq!(word_tokens(&s), reference);
         }
 
         #[test]
