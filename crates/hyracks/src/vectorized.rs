@@ -56,10 +56,6 @@ use std::sync::Arc;
 /// instance caches for column-vs-column verifies.
 const KERNEL_CACHE_CAPACITY: usize = 4096;
 
-/// Distinct tokens a constant-probe Jaccard remembers before it forgets
-/// the column-side ones.
-const PROBE_VOCABULARY_CAPACITY: usize = 1 << 16;
-
 /// A verify-predicate argument: a column, a field path rooted at a
 /// column, or a literal.
 enum ArgExpr {
@@ -207,16 +203,6 @@ impl TokenProbe {
         });
         let len = ids.len();
         TokenProbe { ids, len }
-    }
-
-    /// Forget the column-side tokens once the vocabulary outgrows
-    /// [`PROBE_VOCABULARY_CAPACITY`], keeping the probe's own ids. Called
-    /// between rows, so a row's ids all come from one map.
-    fn bound(&mut self) {
-        if self.ids.len() > PROBE_VOCABULARY_CAPACITY {
-            let len = self.len as u32;
-            self.ids.retain(|_, id| *id < len);
-        }
     }
 }
 
@@ -597,7 +583,6 @@ impl KernelState {
         let ids = &mut self.row_ids;
         ids.clear();
         for_each_word_token(s, &mut self.token_buf, |t| ids.push(intern(&mut probe.ids, t)));
-        probe.bound();
         ids.sort_unstable();
         ids.dedup();
         let inter = ids.partition_point(|&id| (id as usize) < probe.len);
@@ -1138,23 +1123,51 @@ mod tests {
         assert!(k.eval_slice(&slice, &reg()).is_err());
     }
 
+    /// `similarity-jaccard(word-tokens($0.summary), word-tokens($1)) >= δ`:
+    /// two column sides, the join-verify shape.
+    fn jaccard_cols_pred(delta: f64) -> Expr {
+        Expr::cmp(
+            CmpOp::Ge,
+            Expr::call(
+                "similarity-jaccard",
+                vec![
+                    Expr::call("word-tokens", vec![Expr::col(0).field("summary")]),
+                    Expr::call("word-tokens", vec![Expr::col(1)]),
+                ],
+            ),
+            Expr::lit(delta),
+        )
+    }
+
+    /// The bitset a two-column kernel holds for its repeating side.
+    fn bitset_side(k: &VerifyKernel) -> &Arc<[u32]> {
+        &k.state
+            .probe
+            .as_ref()
+            .expect("a repeating side builds a bitset")
+            .0
+    }
+
     #[test]
     fn probe_bitset_reuse_across_rows() {
-        // Many rows sharing the probe constant: the probe is tokenized
-        // once at compile time, acceptance is identical.
+        // Two columns, the second repeating like a join's outer key: the
+        // repeating side gets one bitset, reused for every later row, and
+        // acceptance is identical.
         let rows: Vec<Tuple> = (0..200)
             .map(|i| {
                 vec![
                     record! {"summary" => format!("great product number {i}")},
-                    Value::from("x"),
+                    Value::from("great product value"),
                 ]
             })
             .collect();
         let slice = slice_of(rows);
-        let pred = jaccard_pred(CmpOp::Ge, 0.5);
+        let pred = jaccard_cols_pred(0.5);
         let mut k = VerifyKernel::compile(&pred).expect("compiles");
         let got = k.eval_slice(&slice, &reg()).unwrap();
         assert_eq!(got, row_path(&pred, &slice));
+        let cached = &k.state.interner.sets["great product value"];
+        assert!(Arc::ptr_eq(bitset_side(&k), cached));
     }
 
     #[test]
@@ -1192,9 +1205,40 @@ mod tests {
 
     #[test]
     fn interner_universe_growth_keeps_probe_bitset_correct() {
-        // First rows establish a small vocabulary; later rows introduce
-        // new tokens (larger ids). Ids past the probe's own are simply
-        // not members of it.
+        // Two columns, the second repeating: its bitset is built on the
+        // second row, against a universe of four ids. Later rows intern
+        // more than 64 new tokens (ids past every word of that bitset),
+        // which must read as non-members.
+        let probe = Value::from("great product value");
+        let mut rows: Vec<Tuple> = vec![
+            vec![record! {"summary" => "great product"}, probe.clone()],
+            vec![record! {"summary" => "great gift"}, probe.clone()],
+        ];
+        rows.extend((0..100).map(|i| {
+            let tail = if i % 2 == 0 { "value" } else { "stream" };
+            vec![
+                record! {"summary" => format!("novel token{i} {tail}")},
+                probe.clone(),
+            ]
+        }));
+        let slice = slice_of(rows);
+        let pred = jaccard_cols_pred(0.1);
+        let mut k = VerifyKernel::compile(&pred).expect("compiles");
+        let got = k.eval_slice(&slice, &reg()).unwrap();
+        let want = row_path(&pred, &slice);
+        assert!(
+            !want.is_empty() && want.len() < slice.len(),
+            "rows must split"
+        );
+        assert_eq!(got, want);
+        assert!(k.state.interner.universe() > 64);
+        assert_eq!(bitset_side(&k).len(), 3);
+    }
+
+    #[test]
+    fn probe_membership_ignores_new_column_tokens() {
+        // A constant probe's tokens hold ids 0..|P|; column tokens seen
+        // later get larger ids and are never members of it.
         let mut rows: Vec<Tuple> = vec![vec![
             record! {"summary" => "great product"},
             Value::from("x"),
@@ -1210,7 +1254,7 @@ mod tests {
         let mut k = VerifyKernel::compile(&pred).expect("compiles");
         let got = k.eval_slice(&slice, &reg()).unwrap();
         assert_eq!(got, row_path(&pred, &slice));
-        let _ = Arc::strong_count(&slice.batch);
+        assert_eq!(got, vec![0]);
     }
 
     #[test]
@@ -1254,34 +1298,6 @@ mod tests {
             assert!(k.state.chars.len() <= KERNEL_CACHE_CAPACITY);
             assert!(k.state.interner.sets.len() + k.state.chars.len() > 0);
         }
-    }
-
-    #[test]
-    fn probe_vocabulary_forgets_column_tokens_past_capacity() {
-        // One row brings more new tokens than the vocabulary keeps; the
-        // column-side ids are dropped after it, the probe's stay, and
-        // later rows still see the probe tokens as members.
-        let flood: String = (0..PROBE_VOCABULARY_CAPACITY + 10)
-            .map(|i| format!("t{i} "))
-            .collect();
-        let rows: Vec<Tuple> = [flood.as_str(), "great value", "product x", "great product"]
-            .into_iter()
-            .map(|s| vec![record! {"summary" => s}, Value::from("x")])
-            .collect();
-        let slice = slice_of(rows);
-        let pred = jaccard_pred(CmpOp::Gt, 0.0);
-        let mut k = VerifyKernel::compile(&pred).expect("compiles");
-        let got = k.eval_slice(&slice, &reg()).unwrap();
-        assert_eq!(got, row_path(&pred, &slice));
-        assert_eq!(got, vec![1, 2, 3]);
-        let Conjunct::Fast {
-            plan: VerifyPlan::Jaccard { sides: Sides::Probe { probe, .. }, .. },
-            ..
-        } = &k.conjuncts[0]
-        else {
-            panic!("constant-probe Jaccard expected");
-        };
-        assert!(probe.ids.len() <= probe.len + 3, "column tokens were kept");
     }
 
     mod constant_probe {
