@@ -75,16 +75,7 @@ pub fn recognize_similarity(conjunct: &Expr) -> Option<SimPredicate> {
             // Normalize to: call OP constant.
             let (call, op, constant) = match (l.as_ref(), r.as_ref()) {
                 (Expr::Call(..), Expr::Const(c)) => (l.as_ref(), *op, c),
-                (Expr::Const(c), Expr::Call(..)) => {
-                    let flipped = match op {
-                        CmpOp::Lt => CmpOp::Gt,
-                        CmpOp::Le => CmpOp::Ge,
-                        CmpOp::Gt => CmpOp::Lt,
-                        CmpOp::Ge => CmpOp::Le,
-                        other => *other,
-                    };
-                    (r.as_ref(), flipped, c)
-                }
+                (Expr::Const(c), Expr::Call(..)) => (r.as_ref(), op.mirrored(), c),
                 _ => return None,
             };
             let Expr::Call(name, args) = call else {

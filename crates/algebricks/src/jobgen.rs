@@ -110,10 +110,14 @@ impl Gen {
     fn gen_uncached(&mut self, node: &PlanRef) -> Result<OpId, String> {
         let in_schema = |i: usize| -> &[VarId] { &node.inputs[i].schema };
         match &node.op {
-            LogicalOp::DataSourceScan { dataset, .. } => Ok(self.emit(
-                format!("scan:{dataset}"),
+            // The range is part of the fingerprint: a ranged outer scan
+            // and a full inner scan of one dataset are different
+            // subplans. `Debug` keeps `7000` and `7000.0` apart.
+            LogicalOp::DataSourceScan { dataset, range, .. } => Ok(self.emit(
+                format!("scan:{dataset}:{range:?}"),
                 PhysicalOp::DatasetScan {
                     dataset: dataset.clone(),
+                    range: range.clone(),
                 },
                 vec![],
             )),

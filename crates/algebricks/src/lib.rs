@@ -19,7 +19,8 @@
 //!   index-nested-loop similarity join with the runtime corner-case
 //!   split/union plan (Figs 10, 14), the surrogate variant (Fig 19), and
 //!   the three-stage similarity join (Figs 11, 12) instantiated through
-//!   the AQL+-style template of §5.2,
+//!   the AQL+-style template of §5.2, and primary-key range access for a
+//!   select above a dataset scan,
 //! * [`optimizer`] — the sequential-rule-set driver with the dedicated
 //!   similarity rule set of §5.3,
 //! * [`jobgen`] — physical plan selection + Hyracks job generation

@@ -8,6 +8,7 @@ use crate::catalog::Catalog;
 use crate::plan::{LogicalNode, PlanRef, VarGen};
 use crate::rules::common::{ExtractJoinKeysRule, SelectIntoJoinRule, SimilarityOperatorRule};
 use crate::rules::join_index::IndexJoinRule;
+use crate::rules::key_range::PrimaryKeyRangeRule;
 use crate::rules::select_index::IndexSelectionRule;
 use crate::rules::three_stage::ThreeStageJoinRule;
 use crate::rules::{OptContext, RewriteRule};
@@ -65,7 +66,8 @@ struct RuleSet {
     once: bool,
 }
 
-/// Optimize a plan: normalization set, then the similarity set.
+/// Optimize a plan: normalization set, then the similarity set, then the
+/// access-path set.
 /// Returns the rewritten plan and a log of `(rule, fire count)`.
 pub fn optimize(
     root: &PlanRef,
@@ -97,6 +99,14 @@ pub fn optimize(
                 Box::new(IndexJoinRule),
                 Box::new(ThreeStageJoinRule),
             ],
+            once: true,
+        },
+        // Access paths last: the similarity rules see the plans they
+        // always saw, and a select they keep above a scan (the index
+        // join's outer side) still gets its key range.
+        RuleSet {
+            name: "access-paths",
+            rules: vec![Box::new(PrimaryKeyRangeRule)],
             once: true,
         },
     ];
@@ -259,13 +269,32 @@ mod tests {
     fn non_similarity_plans_untouched() {
         let vg = VarGen::new();
         let cat = catalog();
-        let (scan, pk, _) = build::scan("ARevs", &vg);
-        let sel = build::select(scan, Expr::cmp(CmpOp::Gt, build::v(pk), Expr::lit(5i64)));
+        let (scan, _, rec) = build::scan("ARevs", &vg);
+        let sel = build::select(
+            scan,
+            Expr::cmp(CmpOp::Gt, build::v(rec).field("overall"), Expr::lit(5i64)),
+        );
         let root = build::write(sel);
         let reg = FunctionRegistry::with_builtins();
         let cfg = OptimizerConfig::default();
         let (plan, log) = optimize(&root, &cat, &reg, &cfg, &vg);
         assert!(log.is_empty(), "{log:?}");
         assert!(Arc::ptr_eq(&plan, &root));
+    }
+
+    #[test]
+    fn primary_key_select_ranges_its_scan_only() {
+        let vg = VarGen::new();
+        let cat = catalog();
+        let (scan, pk, _) = build::scan("ARevs", &vg);
+        let sel = build::select(scan, Expr::cmp(CmpOp::Gt, build::v(pk), Expr::lit(5i64)));
+        let root = build::write(sel);
+        let reg = FunctionRegistry::with_builtins();
+        let cfg = OptimizerConfig::default();
+        let (plan, log) = optimize(&root, &cat, &reg, &cfg, &vg);
+        assert_eq!(log, vec![("introduce-primary-key-range", 1)]);
+        let text = explain(&plan);
+        assert!(text.contains("select"), "{text}");
+        assert!(text.contains("data-scan ARevs key (5.0, *)"), "{text}");
     }
 }

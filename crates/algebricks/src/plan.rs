@@ -9,6 +9,7 @@
 //! column positions at the end.
 
 use asterix_hyracks::{AggSpec, Expr, PreTokenized, SearchMeasure, SortKey};
+use asterix_storage::KeyRange;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -70,11 +71,15 @@ pub enum AggFn {
 /// The logical operators.
 #[derive(Clone, Debug)]
 pub enum LogicalOp {
-    /// Scan a dataset partition-parallel: produces `[pk_var, rec_var]`.
+    /// Scan a dataset partition-parallel: produces `[pk_var, rec_var]`
+    /// for the records whose primary key lies in `range` (a superset of
+    /// what the selects above keep; [`KeyRange::FULL`] reads every
+    /// record).
     DataSourceScan {
         dataset: String,
         pk_var: VarId,
         rec_var: VarId,
+        range: KeyRange,
     },
     /// Produce a single empty tuple (constant plans start here).
     EmptyTupleSource,
@@ -287,8 +292,12 @@ pub fn explain(root: &PlanRef) -> String {
     let mut shared: Vec<*const LogicalNode> = Vec::new();
     fn describe(node: &LogicalNode) -> String {
         match &node.op {
-            LogicalOp::DataSourceScan { dataset, pk_var, rec_var } => {
-                format!("data-scan {dataset} -> ${pk_var}, ${rec_var}")
+            LogicalOp::DataSourceScan { dataset, pk_var, rec_var, range } => {
+                if range.is_full() {
+                    format!("data-scan {dataset} -> ${pk_var}, ${rec_var}")
+                } else {
+                    format!("data-scan {dataset} key {range} -> ${pk_var}, ${rec_var}")
+                }
             }
             LogicalOp::EmptyTupleSource => "empty-tuple-source".into(),
             LogicalOp::Select { condition } => format!("select {condition:?}"),
@@ -375,6 +384,7 @@ pub mod build {
                     dataset: dataset.to_string(),
                     pk_var: pk,
                     rec_var: rec,
+                    range: KeyRange::FULL,
                 },
                 vec![],
             ),

@@ -64,6 +64,7 @@ impl RewriteRule for IndexJoinRule {
             dataset,
             pk_var: inner_pk,
             rec_var: inner_rec,
+            ..
         } = &inner.op
         else {
             return None;

@@ -6,6 +6,7 @@
 
 pub mod common;
 pub mod join_index;
+pub mod key_range;
 pub mod select_index;
 pub mod three_stage;
 

@@ -49,6 +49,7 @@ impl RewriteRule for IndexSelectionRule {
             dataset,
             pk_var,
             rec_var,
+            ..
         } = &scan.op
         else {
             return None;

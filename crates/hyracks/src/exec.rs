@@ -25,7 +25,10 @@
 //!   are identical to the pipelined mode (operators are deterministic per
 //!   partition and routing does not depend on interleaving). The
 //!   backpressure lost to unbounded buffering is re-bounded by the
-//!   per-query [`JobOptions::memory_budget`].
+//!   per-query [`JobOptions::memory_budget`]. Stages also follow
+//!   Hyracks' blocking build→probe edge for nested-loop joins: the sole
+//!   producer of a join's probe side waits for its build side, and never
+//!   runs behind an empty one.
 
 use crate::context::ClusterContext;
 use crate::error::{panic_message, CancelToken, ExecError, OpError};
@@ -36,7 +39,7 @@ use crate::tuple::{Frame, Tuple};
 use asterix_storage::{MemoryBudget, QueryCounters};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -622,13 +625,38 @@ fn run_pooled(
         v.sort();
         *slots = v.into_iter().map(|(_, i)| i).collect();
     }
-    // Distinct upstream producers per operator drive stage eligibility.
+    // Build before probe: an operator whose one output edge feeds the
+    // probe side (input 1) of a nested-loop join waits for the producer
+    // of that join's build side (input 0), and never runs if the build
+    // side came out empty — no row of the probe could join. With one
+    // output edge the wait cannot close a cycle: the build producer is
+    // upstream of the join, and the gated operator's only consumer is
+    // the join.
+    let gate: Vec<Option<usize>> = (0..num_ops)
+        .map(|op_index| {
+            let [ei] = output_edges[op_index][..] else {
+                return None;
+            };
+            let edge = &job.edges[ei];
+            if edge.input != 1 || !matches!(job.ops[edge.to.0].1, PhysicalOp::NestedLoopJoin { .. }) {
+                return None;
+            }
+            input_edges[edge.to.0]
+                .iter()
+                .map(|b| &job.edges[*b])
+                .find(|b| b.input == 0)
+                .map(|b| b.from.0)
+        })
+        .collect();
+    // Distinct upstream producers (and the build producer a gated
+    // operator waits for) drive stage eligibility.
     let mut remaining_upstream = vec![0usize; num_ops];
     let mut downstream: Vec<Vec<usize>> = vec![Vec::new(); num_ops];
     for op_index in 0..num_ops {
         let ups: HashSet<usize> = input_edges[op_index]
             .iter()
             .map(|ei| job.edges[*ei].from.0)
+            .chain(gate[op_index])
             .collect();
         remaining_upstream[op_index] = ups.len();
         for u in ups {
@@ -661,61 +689,80 @@ fn run_pooled(
         let mut partitions_done = vec![0usize; num_ops];
         let mut completed_ops = 0usize;
         let mut inflight_tasks = 0usize;
+        // Operators whose upstreams have all completed, in the order they
+        // became ready (sources first, in id order), and operators done on
+        // every partition.
+        let mut ready: VecDeque<usize> =
+            (0..num_ops).filter(|&i| remaining_upstream[i] == 0).collect();
+        let mut finished: Vec<usize> = Vec::new();
 
-        // Source operators (no upstream) start immediately, in id order.
-        for op_index in (0..num_ops).filter(|&i| remaining_upstream[i] == 0) {
-            inflight_tasks += submit_op(
-                scope,
-                job,
-                op_index,
-                p,
-                &mut edge_receivers,
-                &edge_senders,
-                &input_edges,
-                &output_edges,
-                shared,
-                report,
-                &done_tx,
-            );
-        }
-
-        while completed_ops < num_ops {
+        loop {
+            while let Some(op_index) = ready.pop_front() {
+                let dead_probe = gate[op_index].is_some_and(|b| {
+                    let build_id = job.ops[b].0;
+                    stats.lock().get(&build_id).map_or(0, |s| s.output_tuples) == 0
+                });
+                if !dead_probe {
+                    inflight_tasks += submit_op(
+                        scope,
+                        job,
+                        op_index,
+                        p,
+                        &mut edge_receivers,
+                        &edge_senders,
+                        &input_edges,
+                        &output_edges,
+                        shared,
+                        report,
+                        &done_tx,
+                    );
+                    continue;
+                }
+                // Complete without running: no output, and dropped
+                // inputs, so a shared upstream's sends on them are
+                // discarded (`Ok`, like any closed consumer's).
+                let (op_id, op) = &job.ops[op_index];
+                stats.lock().insert(
+                    *op_id,
+                    OpStats {
+                        name: op.name(),
+                        ..OpStats::default()
+                    },
+                );
+                for ei in &input_edges[op_index] {
+                    edge_receivers[*ei].iter_mut().for_each(|rx| drop(rx.take()));
+                }
+                finished.push(op_index);
+            }
+            while let Some(op_index) = finished.pop() {
+                completed_ops += 1;
+                // Drop the operator's edges' master senders (its tasks'
+                // Router clones are already gone) so consumers see
+                // end-of-stream after draining.
+                for ei in &output_edges[op_index] {
+                    edge_senders[*ei].clear();
+                }
+                for &d in &downstream[op_index] {
+                    remaining_upstream[d] -= 1;
+                    if remaining_upstream[d] == 0 {
+                        ready.push_back(d);
+                    }
+                }
+            }
+            if !ready.is_empty() {
+                continue;
+            }
             // Stop driving new stages once anything failed; in-flight
             // tasks unwind cooperatively and the scope joins them.
-            if first_error.lock().is_some() {
+            if completed_ops == num_ops || first_error.lock().is_some() {
                 break;
             }
             match done_rx.recv_timeout(Duration::from_millis(10)) {
                 Ok(op_index) => {
                     inflight_tasks -= 1;
                     partitions_done[op_index] += 1;
-                    if partitions_done[op_index] < p {
-                        continue;
-                    }
-                    completed_ops += 1;
-                    // The operator is done everywhere: drop its edges'
-                    // master senders (its tasks' Router clones are already
-                    // gone) so consumers see end-of-stream after draining.
-                    for ei in &output_edges[op_index] {
-                        edge_senders[*ei].clear();
-                    }
-                    for &d in &downstream[op_index] {
-                        remaining_upstream[d] -= 1;
-                        if remaining_upstream[d] == 0 {
-                            inflight_tasks += submit_op(
-                                scope,
-                                job,
-                                d,
-                                p,
-                                &mut edge_receivers,
-                                &edge_senders,
-                                &input_edges,
-                                &output_edges,
-                                shared,
-                                report,
-                                &done_tx,
-                            );
-                        }
+                    if partitions_done[op_index] == p {
+                        finished.push(op_index);
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {
@@ -809,6 +856,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let sink = job.add(PhysicalOp::ResultSink);
         job.connect(scan, sink, 0, ConnectorKind::ToOne);
@@ -823,6 +871,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let select = job.add(PhysicalOp::Select {
             predicate: Expr::cmp(
@@ -844,6 +893,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let sort = job.add(PhysicalOp::Sort {
             keys: vec![SortKey::desc(0)],
@@ -862,9 +912,11 @@ mod tests {
         let mut job = JobSpec::new();
         let scan_l = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let scan_r = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let join = job.add(PhysicalOp::HashJoin {
             left_keys: vec![0],
@@ -887,9 +939,11 @@ mod tests {
         let mut job = JobSpec::new();
         let scan_l = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let scan_r = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         // Predicate: left.id < right.id (left cols 0-1, right cols 2-3).
         let join = job.add(PhysicalOp::NestedLoopJoin {
@@ -909,6 +963,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         // Tokenize summaries, count token frequencies globally.
         let unnest = job.add(PhysicalOp::Unnest {
@@ -1018,9 +1073,11 @@ mod tests {
         let mut job = JobSpec::new();
         let scan1 = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let scan2 = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let union = job.add(PhysicalOp::Union);
         let sink = job.add(PhysicalOp::ResultSink);
@@ -1037,6 +1094,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let sel_low = job.add(PhysicalOp::Select {
             predicate: Expr::cmp(CmpOp::Le, Expr::col(0), Expr::lit(3i64)),
@@ -1061,6 +1119,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let sort = job.add(PhysicalOp::Sort {
             keys: vec![SortKey::asc(0)],
@@ -1083,6 +1142,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let gather = job.add(PhysicalOp::Materialize);
         let limit = job.add(PhysicalOp::Limit { n: 2 });
@@ -1100,6 +1160,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let bad = job.add(PhysicalOp::Assign {
             exprs: vec![Expr::call("no-such-function", vec![])],
@@ -1121,6 +1182,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "nope".into(),
+            range: Default::default(),
         });
         let sink = job.add(PhysicalOp::ResultSink);
         job.connect(scan, sink, 0, ConnectorKind::ToOne);
@@ -1133,6 +1195,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let sink = job.add(PhysicalOp::ResultSink);
         job.connect(scan, sink, 0, ConnectorKind::ToOne);
@@ -1148,6 +1211,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         // Group everything into one bucket keyed by a constant.
         let key = job.add(PhysicalOp::Assign {
@@ -1192,6 +1256,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let shuffle = job.add(PhysicalOp::Project { cols: vec![0] });
         let sink = job.add(PhysicalOp::ResultSink);
@@ -1209,6 +1274,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let mat = job.add(PhysicalOp::Materialize);
         let sink = job.add(PhysicalOp::ResultSink);
@@ -1226,6 +1292,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let fault = job.add(PhysicalOp::FaultInject {
             partition: 1,
@@ -1274,6 +1341,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         // ~100 ms per tuple against a 40 ms budget: the deadline must win.
         let slow = job.add(PhysicalOp::Throttle {
@@ -1311,6 +1379,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let slow = job.add(PhysicalOp::Throttle {
             micros_per_tuple: 100_000,
@@ -1357,6 +1426,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let slow = job.add(PhysicalOp::Throttle {
             micros_per_tuple: 50_000,
@@ -1389,6 +1459,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let sink = job.add(PhysicalOp::ResultSink);
         job.connect(scan, sink, 0, ConnectorKind::ToOne);
@@ -1411,6 +1482,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let sort = job.add(PhysicalOp::Sort {
             keys: vec![SortKey::asc(0)],
@@ -1433,9 +1505,11 @@ mod tests {
         let mut job = JobSpec::new();
         let scan_l = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let scan_r = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let join = job.add(PhysicalOp::HashJoin {
             left_keys: vec![0],
@@ -1455,6 +1529,89 @@ mod tests {
         assert_eq!(seed_rows, pooled_rows);
     }
 
+    /// Fig 14's corner shape: a build side of the rows with pk in
+    /// `build_keys`, broadcast into input 0 of a nested-loop join whose
+    /// probe side (input 1) is a full scan. Returns the job, the probe
+    /// scan and the join.
+    fn corner_join_job(build_keys: asterix_storage::KeyRange) -> (JobSpec, OpId, OpId) {
+        let mut job = JobSpec::new();
+        let build = job.add(PhysicalOp::DatasetScan {
+            dataset: "ARevs".into(),
+            range: build_keys,
+        });
+        let probe = job.add(PhysicalOp::DatasetScan {
+            dataset: "ARevs".into(),
+            range: Default::default(),
+        });
+        let join = job.add(PhysicalOp::NestedLoopJoin {
+            predicate: Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::col(2)),
+        });
+        let sort = job.add(PhysicalOp::Sort {
+            keys: vec![SortKey::asc(0), SortKey::asc(2)],
+        });
+        let sink = job.add(PhysicalOp::ResultSink);
+        job.connect(build, join, 0, ConnectorKind::Broadcast);
+        job.connect(probe, join, 1, ConnectorKind::OneToOne);
+        job.connect(join, sort, 0, ConnectorKind::ToOne);
+        job.pipe(sort, sink);
+        (job, probe, join)
+    }
+
+    #[test]
+    fn pooled_probe_side_never_runs_behind_an_empty_build_side() {
+        use std::ops::Bound;
+        let ctx = cluster(2, &sample_rows());
+        let (job, probe, join) = corner_join_job(asterix_storage::KeyRange {
+            lo: Bound::Included(Value::Int64(100)),
+            hi: Bound::Unbounded,
+        });
+        let pool = crate::pool::WorkerPool::new(1);
+        let progress = crate::progress::JobProgress::for_job(&job);
+        let options = JobOptions {
+            progress: Some(progress.clone()),
+            ..pooled(&pool)
+        };
+        let (rows, stats) = run_job_with(&job, &ctx, &options).unwrap();
+        assert!(rows.is_empty());
+        let st = &stats.per_op[&probe];
+        assert_eq!(st.name, "dataset-scan");
+        assert_eq!((st.input_tuples, st.output_tuples), (0, 0));
+        assert!(st.partition_times.is_empty(), "the probe scan ran: {st:?}");
+        let live = progress
+            .snapshot()
+            .into_iter()
+            .find(|s| s.op == probe.0)
+            .unwrap();
+        assert_eq!(
+            (live.partitions_started, live.partitions_finished, live.tuples_in, live.tuples_out),
+            (0, 0, 0, 0)
+        );
+        // The join itself ran everywhere, over an empty build side.
+        assert_eq!(stats.per_op[&join].partition_times.len(), 2);
+        // The pipelined executor still scans the probe side.
+        let (seed_rows, seed_stats) = run_job(&job, &ctx).unwrap();
+        assert!(seed_rows.is_empty());
+        assert_eq!(seed_stats.per_op[&probe].output_tuples, 6);
+    }
+
+    #[test]
+    fn pooled_probe_side_runs_after_a_nonempty_build_side() {
+        use std::ops::Bound;
+        let ctx = cluster(3, &sample_rows());
+        let (job, probe, _) = corner_join_job(asterix_storage::KeyRange {
+            lo: Bound::Unbounded,
+            hi: Bound::Excluded(Value::Int64(3)),
+        });
+        let (seed_rows, _) = run_job(&job, &ctx).unwrap();
+        let pool = crate::pool::WorkerPool::new(1);
+        let (rows, stats) = run_job_with(&job, &ctx, &pooled(&pool)).unwrap();
+        assert_eq!(rows, seed_rows);
+        // Build ids 1, 2 against probe ids 1..=6: 5 + 4 pairs.
+        assert_eq!(rows.len(), 9);
+        assert_eq!(stats.per_op[&probe].output_tuples, 6);
+        assert_eq!(stats.total_output_of("dataset-scan"), 8);
+    }
+
     #[test]
     fn pooled_runs_reuse_one_pool_across_jobs() {
         let ctx = cluster(2, &sample_rows());
@@ -1463,6 +1620,7 @@ mod tests {
             let mut job = JobSpec::new();
             let scan = job.add(PhysicalOp::DatasetScan {
                 dataset: "ARevs".into(),
+                range: Default::default(),
             });
             let sink = job.add(PhysicalOp::ResultSink);
             job.connect(scan, sink, 0, ConnectorKind::ToOne);
@@ -1497,6 +1655,7 @@ mod tests {
             let mut ok_job = JobSpec::new();
             let scan = ok_job.add(PhysicalOp::DatasetScan {
                 dataset: "ARevs".into(),
+                range: Default::default(),
             });
             let sink = ok_job.add(PhysicalOp::ResultSink);
             ok_job.connect(scan, sink, 0, ConnectorKind::ToOne);
@@ -1511,6 +1670,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let slow = job.add(PhysicalOp::Throttle {
             micros_per_tuple: 100_000,
@@ -1547,6 +1707,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let sink = job.add(PhysicalOp::ResultSink);
         job.connect(scan, sink, 0, ConnectorKind::ToOne);
@@ -1577,6 +1738,7 @@ mod tests {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let slow = job.add(PhysicalOp::Throttle {
             micros_per_tuple: 100_000,

@@ -39,6 +39,17 @@ impl CmpOp {
             CmpOp::Ge => ord != Ordering::Less,
         }
     }
+
+    /// The operator with its operands swapped: `a < b` ⇔ `b > a`.
+    pub fn mirrored(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            CmpOp::Eq | CmpOp::Ne => self,
+        }
+    }
 }
 
 impl fmt::Display for CmpOp {

@@ -4,6 +4,7 @@
 use crate::expr::Expr;
 use crate::tuple::SortKey;
 use asterix_adm::Value;
+use asterix_storage::KeyRange;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -121,10 +122,13 @@ pub enum PhysicalOp {
     /// Emit a single empty tuple on partition 0 (the constant source that
     /// starts selection plans).
     EmptySource,
-    /// Scan the local partition of a dataset → `[pk, record]`.
+    /// Scan the local partition of a dataset → `[pk, record]`, reading
+    /// only the records whose primary key lies in `range`.
     DatasetScan {
         /// Dataset to scan.
         dataset: String,
+        /// Primary keys to read ([`KeyRange::FULL`] for every record).
+        range: KeyRange,
     },
     /// Keep tuples whose predicate is true.
     Select {
@@ -456,6 +460,7 @@ mod tests {
         let mut j = JobSpec::new();
         let scan = j.add(PhysicalOp::DatasetScan {
             dataset: "d".into(),
+            range: Default::default(),
         });
         let sink = j.add(PhysicalOp::ResultSink);
         j.connect(scan, sink, 0, ConnectorKind::ToOne);
@@ -479,6 +484,7 @@ mod tests {
         let mut j = JobSpec::new();
         let scan = j.add(PhysicalOp::DatasetScan {
             dataset: "d".into(),
+            range: Default::default(),
         });
         let join = j.add(PhysicalOp::HashJoin {
             left_keys: vec![0],

@@ -783,14 +783,14 @@ pub fn run_operator(
             }
             Ok((0, out.finish()?))
         }
-        PhysicalOp::DatasetScan { dataset } => {
+        PhysicalOp::DatasetScan { dataset, range } => {
             let set = ctx.partitions[partition].read();
             let store = set
                 .store(dataset)
                 .ok_or_else(|| format!("unknown dataset '{dataset}'"))?;
             let mut pks: Vec<Value> = Vec::with_capacity(FRAME_CAPACITY);
             let mut recs: Vec<Value> = Vec::with_capacity(FRAME_CAPACITY);
-            for item in store.primary().scan() {
+            for item in store.primary().scan_range(range) {
                 let (pk, rec) = item?;
                 pks.push(pk);
                 recs.push(rec);

@@ -313,17 +313,6 @@ struct KernelState {
     use_bitparallel: bool,
 }
 
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-    }
-}
-
 /// `word-tokens(inner)` → compiled `inner`.
 fn tokens_arg(e: &Expr) -> Option<ArgExpr> {
     match e {
@@ -375,7 +364,7 @@ fn char_sides(a: &Expr, b: &Expr) -> Option<Sides<CharProbe>> {
 fn compile_plan(pred: &Expr) -> Option<VerifyPlan> {
     match pred {
         Expr::Cmp(op, l, r) => {
-            compile_cmp(*op, l, r).or_else(|| compile_cmp(flip(*op), r, l))
+            compile_cmp(*op, l, r).or_else(|| compile_cmp(op.mirrored(), r, l))
         }
         Expr::Call(name, args) if name == "edit-distance-check" && args.len() == 3 => {
             let Expr::Const(Value::Int64(k)) = &args[2] else {

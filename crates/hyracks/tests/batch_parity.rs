@@ -149,6 +149,7 @@ fn scan_select_job(predicate: Expr) -> JobSpec {
     let mut job = JobSpec::new();
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let select = job.add(PhysicalOp::Select { predicate });
     let sink = job.add(PhysicalOp::ResultSink);
@@ -192,6 +193,7 @@ fn index_join_job(field: &str, measure: SearchMeasure, verify: Expr) -> JobSpec 
     let mut job = JobSpec::new();
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let assign = job.add(PhysicalOp::Assign {
         exprs: vec![Expr::col(1).field(field)],
@@ -337,6 +339,7 @@ proptest! {
 fn scan_assign(job: &mut JobSpec, exprs: Vec<Expr>) -> OpId {
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let assign = job.add(PhysicalOp::Assign { exprs });
     job.pipe(scan, assign);
@@ -349,6 +352,7 @@ fn unnest_job(expr: Expr, with_pos: bool, rehash: bool) -> JobSpec {
     let mut job = JobSpec::new();
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let unnest = job.add(PhysicalOp::Unnest { expr, with_pos });
     let sink = job.add(PhysicalOp::ResultSink);
@@ -410,6 +414,7 @@ fn group_by_job(keys: Vec<usize>, aggs: Vec<AggSpec>) -> JobSpec {
 fn token_rank(job: &mut JobSpec) -> OpId {
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let unnest = job.add(PhysicalOp::Unnest {
         expr: Expr::call("word-tokens", vec![Expr::col(1).field("summary")]),
@@ -513,6 +518,7 @@ proptest! {
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
+            range: Default::default(),
         });
         let sort = job.add(PhysicalOp::Sort {
             keys: vec![if desc { SortKey::desc(0) } else { SortKey::asc(0) }],
@@ -614,6 +620,7 @@ fn hash_connector_key_out_of_bounds_is_typed() {
     let mut job = JobSpec::new();
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let sort = job.add(PhysicalOp::Sort {
         keys: vec![SortKey::asc(0)],
@@ -629,6 +636,7 @@ fn project_column_out_of_bounds_is_typed() {
     let mut job = JobSpec::new();
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let project = job.add(PhysicalOp::Project { cols: vec![0, 9] });
     let sink = job.add(PhysicalOp::ResultSink);
@@ -642,6 +650,7 @@ fn sort_key_out_of_bounds_is_typed() {
     let mut job = JobSpec::new();
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let sort = job.add(PhysicalOp::Sort {
         keys: vec![SortKey::asc(5)],
@@ -657,6 +666,7 @@ fn group_by_key_out_of_bounds_is_typed() {
     let mut job = JobSpec::new();
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let group = job.add(PhysicalOp::HashGroupBy {
         keys: vec![6],
@@ -673,6 +683,7 @@ fn lookup_pk_column_out_of_bounds_is_typed() {
     let mut job = JobSpec::new();
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let lookup = job.add(PhysicalOp::PrimaryIndexLookup {
         dataset: "ARevs".into(),
@@ -689,6 +700,7 @@ fn search_key_column_out_of_bounds_is_typed() {
     let mut job = JobSpec::new();
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let search = job.add(PhysicalOp::SecondaryIndexSearch {
         dataset: "ARevs".into(),
@@ -708,6 +720,7 @@ fn group_by_agg_column_out_of_bounds_is_typed() {
     let mut job = JobSpec::new();
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let group = job.add(PhysicalOp::HashGroupBy {
         keys: vec![0],
@@ -724,9 +737,11 @@ fn hash_join_probe_key_out_of_bounds_is_typed() {
     let mut job = JobSpec::new();
     let left = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let right = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let join = job.add(PhysicalOp::HashJoin {
         left_keys: vec![0],
@@ -744,6 +759,7 @@ fn unnest_expression_column_out_of_bounds_is_typed() {
     let mut job = JobSpec::new();
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let unnest = job.add(PhysicalOp::Unnest {
         expr: Expr::call("word-tokens", vec![Expr::col(6)]),
@@ -835,6 +851,7 @@ fn assert_reference(
 fn scan_select(job: &mut JobSpec, filter: Expr) -> OpId {
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let select = job.add(PhysicalOp::Select { predicate: filter });
     job.pipe(scan, select);

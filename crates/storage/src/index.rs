@@ -25,7 +25,10 @@ use asterix_simfn::tokenize;
 use asterix_simfn::{IntersectScratch, RankCountScratch, TokenBitset};
 use bytes::Bytes;
 use parking_lot::Mutex;
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Posting lists at or above this length switch [`InvertedIndex::t_occurrence`]
@@ -33,6 +36,112 @@ use std::sync::Arc;
 /// DivideSkip L-heuristic: below this the skip machinery costs more than
 /// it saves).
 const ADAPTIVE_DIVIDE_SKIP_MIN_LEN: usize = 64;
+
+/// Decode a primary record, reporting an undecodable one as corruption:
+/// a CRC-valid page can still hold a bad record, and dropping it would
+/// turn it into a missing row.
+fn decode_record(pk: &Value, bytes: &[u8]) -> Result<Value, IoError> {
+    binary::from_bytes(bytes)
+        .map_err(|e| IoError::corruption(format!("primary record under key {pk}: {e}")))
+}
+
+/// An interval of primary keys in [`Value`]'s total order (the LSM key
+/// order), bounded on either side or not. A data scan with a key range
+/// reads only the records inside it; [`KeyRange::FULL`] reads them all.
+#[derive(Clone, Debug, PartialEq)]
+pub struct KeyRange {
+    /// Lower bound.
+    pub lo: Bound<Value>,
+    /// Upper bound.
+    pub hi: Bound<Value>,
+}
+
+impl Default for KeyRange {
+    fn default() -> Self {
+        KeyRange::FULL
+    }
+}
+
+impl KeyRange {
+    /// Every key.
+    pub const FULL: KeyRange = KeyRange {
+        lo: Bound::Unbounded,
+        hi: Bound::Unbounded,
+    };
+
+    /// True when neither side is bounded.
+    pub fn is_full(&self) -> bool {
+        matches!((&self.lo, &self.hi), (Bound::Unbounded, Bound::Unbounded))
+    }
+
+    /// True when `key` is not below the lower bound.
+    pub fn admits_lo(&self, key: &Value) -> bool {
+        match &self.lo {
+            Bound::Included(b) => key >= b,
+            Bound::Excluded(b) => key > b,
+            Bound::Unbounded => true,
+        }
+    }
+
+    /// True when `key` is not above the upper bound.
+    pub fn admits_hi(&self, key: &Value) -> bool {
+        match &self.hi {
+            Bound::Included(b) => key <= b,
+            Bound::Excluded(b) => key < b,
+            Bound::Unbounded => true,
+        }
+    }
+
+    /// True when `key` lies inside the range.
+    pub fn contains(&self, key: &Value) -> bool {
+        self.admits_lo(key) && self.admits_hi(key)
+    }
+
+    /// The keys inside both ranges: the higher lower bound and the lower
+    /// upper bound (an exclusive bound wins a tie).
+    pub fn intersect(&self, other: &KeyRange) -> KeyRange {
+        fn tighter(a: &Bound<Value>, b: &Bound<Value>, want: Ordering) -> Bound<Value> {
+            match (a, b) {
+                (Bound::Unbounded, x) | (x, Bound::Unbounded) => x.clone(),
+                (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
+                    let a_wins = match x.cmp(y) {
+                        Ordering::Equal => matches!(a, Bound::Excluded(_)),
+                        o => o == want,
+                    };
+                    if a_wins { a.clone() } else { b.clone() }
+                }
+            }
+        }
+        KeyRange {
+            lo: tighter(&self.lo, &other.lo, Ordering::Greater),
+            hi: tighter(&self.hi, &other.hi, Ordering::Less),
+        }
+    }
+}
+
+impl fmt::Display for KeyRange {
+    /// Interval notation, `*` for an open side: `[5, 12)`, `(*, 7000.0]`.
+    /// Doubles keep their fraction so `7000` and `7000.0` stay distinct.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fn key(v: &Value) -> String {
+            match v {
+                Value::Double(d) => format!("{:?}", d.0),
+                other => other.to_string(),
+            }
+        }
+        let lo = match &self.lo {
+            Bound::Included(v) => format!("[{}", key(v)),
+            Bound::Excluded(v) => format!("({}", key(v)),
+            Bound::Unbounded => "(*".to_string(),
+        };
+        let hi = match &self.hi {
+            Bound::Included(v) => format!("{}]", key(v)),
+            Bound::Excluded(v) => format!("{})", key(v)),
+            Bound::Unbounded => "*)".to_string(),
+        };
+        write!(f, "{lo}, {hi}")
+    }
+}
 
 /// Primary index: pk → record bytes.
 #[derive(Debug)]
@@ -61,10 +170,10 @@ impl PrimaryIndex {
     /// Point lookup, decoding the record.
     pub fn get(&self, pk: &Value) -> Result<Option<Value>, IoError> {
         crate::profile::add(|q| &q.primary_lookups, 1);
-        Ok(self
-            .tree
+        self.tree
             .get(pk)?
-            .and_then(|b| binary::from_bytes(&b).ok()))
+            .map(|b| decode_record(pk, &b))
+            .transpose()
     }
 
     /// Batched lookup over a *sorted* (ascending, ideally deduped) pk
@@ -73,20 +182,41 @@ impl PrimaryIndex {
     /// sort-the-pks locality). `out[i]` is the record for `pks[i]`.
     pub fn get_many_sorted(&self, pks: &[Value]) -> Result<Vec<Option<Value>>, IoError> {
         crate::profile::add(|q| &q.primary_lookups, pks.len() as u64);
-        Ok(self
-            .tree
+        self.tree
             .get_many_sorted(pks)?
             .into_iter()
-            .map(|b| b.and_then(|b| binary::from_bytes(&b).ok()))
-            .collect())
+            .zip(pks)
+            .map(|(b, pk)| b.map(|b| decode_record(pk, &b)).transpose())
+            .collect()
     }
 
-    /// Full scan in pk order.
+    /// Full scan in pk order: [`PrimaryIndex::scan_range`] over
+    /// [`KeyRange::FULL`].
     pub fn scan(&self) -> impl Iterator<Item = Result<(Value, Value), IoError>> + '_ {
-        self.tree.scan().filter_map(|item| match item {
-            Ok((k, v)) => binary::from_bytes(&v).ok().map(|rec| Ok((k, rec))),
-            Err(e) => Some(Err(e)),
-        })
+        self.scan_range(&KeyRange::FULL)
+    }
+
+    /// Scan the records whose pk lies in `range`, in pk order: one
+    /// `scan_from` descent to the lower bound, ending at the first key
+    /// past the upper bound.
+    pub fn scan_range(
+        &self,
+        range: &KeyRange,
+    ) -> impl Iterator<Item = Result<(Value, Value), IoError>> + '_ {
+        let start = match &range.lo {
+            Bound::Included(v) | Bound::Excluded(v) => Some(v),
+            Bound::Unbounded => None,
+        };
+        let (skip, stop) = (range.clone(), range.clone());
+        self.tree
+            .scan_from(start)
+            .skip_while(move |item| matches!(item, Ok((k, _)) if !skip.admits_lo(k)))
+            .take_while(move |item| !matches!(item, Ok((k, _)) if !stop.admits_hi(k)))
+            .map(|item| {
+                let (k, v) = item?;
+                let rec = decode_record(&k, &v)?;
+                Ok((k, rec))
+            })
     }
 
     /// Number of live records (scans all components).
@@ -840,6 +970,101 @@ mod tests {
             .map(|r| r.unwrap().0.as_i64().unwrap())
             .collect();
         assert_eq!(keys, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn primary_range_scan_spans_memory_and_flushed_components() {
+        let mut p = PrimaryIndex::new(cache(), StorageConfig::tiny());
+        for i in (0..40i64).step_by(2) {
+            p.insert(Value::Int64(i), &record! {"id" => i}).unwrap();
+        }
+        p.flush().unwrap();
+        for i in (1..40i64).step_by(2) {
+            p.insert(Value::Int64(i), &record! {"id" => i}).unwrap();
+        }
+        let keys = |range: KeyRange| -> Vec<i64> {
+            p.scan_range(&range)
+                .map(|r| r.unwrap().0.as_i64().unwrap())
+                .collect()
+        };
+        let range = |lo, hi| KeyRange { lo, hi };
+        let int = |i: i64| Value::Int64(i);
+        assert_eq!(keys(KeyRange::FULL), (0..40).collect::<Vec<_>>());
+        assert_eq!(
+            keys(range(Bound::Included(int(5)), Bound::Excluded(int(9)))),
+            vec![5, 6, 7, 8]
+        );
+        assert_eq!(
+            keys(range(Bound::Excluded(int(5)), Bound::Included(int(9)))),
+            vec![6, 7, 8, 9]
+        );
+        assert_eq!(keys(range(Bound::Included(int(37)), Bound::Unbounded)), vec![37, 38, 39]);
+        assert_eq!(keys(range(Bound::Unbounded, Bound::Excluded(int(2)))), vec![0, 1]);
+        // Empty: the lower bound lies past the upper one.
+        assert!(keys(range(Bound::Included(int(9)), Bound::Excluded(int(5)))).is_empty());
+        // A double bound sits between the integers around it.
+        let half = Value::from(7.5);
+        assert_eq!(
+            keys(range(Bound::Included(half.clone()), Bound::Included(int(9)))),
+            vec![8, 9]
+        );
+    }
+
+    #[test]
+    fn key_range_intersection_keeps_the_tighter_bounds() {
+        let int = |i: i64| Value::Int64(i);
+        let a = KeyRange {
+            lo: Bound::Included(int(5)),
+            hi: Bound::Included(int(20)),
+        };
+        let b = KeyRange {
+            lo: Bound::Excluded(int(5)),
+            hi: Bound::Excluded(int(30)),
+        };
+        let both = a.intersect(&b);
+        assert_eq!(both.lo, Bound::Excluded(int(5)));
+        assert_eq!(both.hi, Bound::Included(int(20)));
+        assert_eq!(a.intersect(&KeyRange::FULL), a);
+        assert!(KeyRange::FULL.is_full() && !a.is_full());
+        assert!(both.contains(&int(6)) && !both.contains(&int(5)) && !both.contains(&int(21)));
+        assert_eq!(both.to_string(), "(5, 20]");
+        let open = KeyRange {
+            lo: Bound::Unbounded,
+            hi: Bound::Included(Value::from(7000.0)),
+        };
+        assert_eq!(open.to_string(), "(*, 7000.0]");
+    }
+
+    #[test]
+    fn undecodable_primary_record_is_a_typed_error() {
+        let mut p = PrimaryIndex::new(cache(), StorageConfig::tiny());
+        p.insert(Value::Int64(1), &record! {"id" => 1i64}).unwrap();
+        // Valid LSM entry, garbage record bytes under pk 2.
+        p.tree
+            .put(Value::Int64(2), Bytes::from(vec![0xff, 0x00, 0x13]))
+            .unwrap();
+        for flushed in [false, true] {
+            if flushed {
+                p.flush().unwrap();
+            }
+            assert!(p.get(&Value::Int64(1)).unwrap().is_some());
+            let err = p.get(&Value::Int64(2)).unwrap_err();
+            assert!(err.is_corruption(), "{err}");
+            assert!(p
+                .get_many_sorted(&[Value::Int64(1), Value::Int64(2)])
+                .unwrap_err()
+                .is_corruption());
+            let scanned: Vec<_> = p.scan().collect();
+            assert!(scanned[0].is_ok(), "{scanned:?}");
+            assert!(scanned[1].as_ref().is_err_and(IoError::is_corruption), "{scanned:?}");
+            // A range that stops before the bad record never reads it.
+            let head = KeyRange {
+                lo: Bound::Unbounded,
+                hi: Bound::Excluded(Value::Int64(2)),
+            };
+            assert_eq!(p.scan_range(&head).filter(Result::is_ok).count(), 1);
+            assert_eq!(p.scan_range(&head).count(), 1);
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use component::{Entry, RunComponent};
 pub use disk::{crc32, Disk, FileId};
 pub use events::{LsmEvent, LsmEventKind, LsmEventLog};
 pub use fault::{crash_point, FaultInjector, FaultRule, IoError, IoErrorKind, IoOp};
-pub use index::{index_tokens, InvertedIndex, PrimaryIndex, SecondaryBTreeIndex};
+pub use index::{index_tokens, InvertedIndex, KeyRange, PrimaryIndex, SecondaryBTreeIndex};
 pub use lsm::LsmTree;
 pub use manifest::{Manifest, ManifestComponent, ManifestDataset, ManifestIndex};
 pub use partition::PartitionStore;

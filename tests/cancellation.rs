@@ -18,10 +18,15 @@ use std::time::{Duration, Instant};
 
 const RECORDS: usize = 500;
 
-fn instance() -> Instance {
+/// Records behind the deliberately slow queries: enough that the
+/// quadratic self-join takes well over a second even in an optimised
+/// build (500 records finish inside 100 ms there).
+const SLOW_RECORDS: usize = 2_000;
+
+fn instance_of(records: usize) -> Instance {
     let db = Instance::new(InstanceConfig::with_partitions(2));
     db.create_dataset("ARevs", "id").unwrap();
-    db.load("ARevs", amazon_reviews(RECORDS, 77)).unwrap();
+    db.load("ARevs", amazon_reviews(records, 77)).unwrap();
     db
 }
 
@@ -52,7 +57,7 @@ fn scan_only(timeout: Option<Duration>) -> QueryOptions {
 
 #[test]
 fn deadline_produces_typed_timeout_within_bounded_wallclock() {
-    let db = instance();
+    let db = instance_of(SLOW_RECORDS);
     let budget = Duration::from_millis(100);
     let started = Instant::now();
     let err = db
@@ -71,7 +76,7 @@ fn deadline_produces_typed_timeout_within_bounded_wallclock() {
     );
 
     // The instance is not poisoned: counters agree and queries still run.
-    assert_eq!(db.count_records("ARevs").unwrap(), RECORDS as u64);
+    assert_eq!(db.count_records("ARevs").unwrap(), SLOW_RECORDS as u64);
     let ok = db
         .query("for $t in dataset ARevs where $t.id < 5 return $t.id")
         .unwrap();
@@ -80,7 +85,7 @@ fn deadline_produces_typed_timeout_within_bounded_wallclock() {
 
 #[test]
 fn generous_deadline_does_not_fire() {
-    let db = instance();
+    let db = instance_of(RECORDS);
     let res = db
         .query_with(
             "for $t in dataset ARevs where $t.id < 10 return $t.id",
@@ -92,7 +97,7 @@ fn generous_deadline_does_not_fire() {
 
 #[test]
 fn external_cancel_produces_typed_cancelled_error() {
-    let db = Arc::new(instance());
+    let db = Arc::new(instance_of(SLOW_RECORDS));
     let worker = {
         let db = db.clone();
         std::thread::spawn(move || db.query_with(slow_query(), &scan_only(None)))

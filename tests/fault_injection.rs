@@ -56,6 +56,7 @@ fn job_with_fault(shape: &str, partition: usize, mode: FaultMode) -> JobSpec {
     let mut job = JobSpec::new();
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let mid: OpId = match shape {
         "scan" => scan,
@@ -82,6 +83,7 @@ fn job_with_fault(shape: &str, partition: usize, mode: FaultMode) -> JobSpec {
             // Self equi-join on pk; both sides co-partitioned.
             let scan2 = job.add(PhysicalOp::DatasetScan {
                 dataset: "ARevs".into(),
+                range: Default::default(),
             });
             let join = job.add(PhysicalOp::HashJoin {
                 left_keys: vec![0],
@@ -118,6 +120,7 @@ fn healthy_job() -> JobSpec {
     let mut job = JobSpec::new();
     let scan = job.add(PhysicalOp::DatasetScan {
         dataset: "ARevs".into(),
+        range: Default::default(),
     });
     let sink = job.add(PhysicalOp::ResultSink);
     job.connect(scan, sink, 0, ConnectorKind::ToOne);

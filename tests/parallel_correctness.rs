@@ -2,11 +2,13 @@
 //! independent of the partition count and of the physical join strategy
 //! (nested-loop vs index-nested-loop vs three-stage vs surrogate), and
 //! shared-subplan reuse does not change results. These are the properties
-//! that make the paper's Fig 24/25/27 comparisons meaningful.
+//! that make the paper's Fig 24/25/27 comparisons meaningful. Nor does
+//! the executor: the pooled one skips the probe side of a nested-loop
+//! join behind an empty build side, and answers as the pipelined one.
 
 use asterix_adm::{IndexKind, Value};
 use asterix_algebricks::OptimizerConfig;
-use asterix_core::{Instance, InstanceConfig, QueryOptions};
+use asterix_core::{Instance, InstanceConfig, QueryOptions, SchedulerConfig};
 use asterix_datagen::amazon_reviews;
 
 fn build(n: usize, partitions: usize, with_indexes: bool) -> Instance {
@@ -196,4 +198,211 @@ fn edit_distance_join_strategies_agree() {
         .unwrap();
     assert_eq!(pairs(&indexed.rows), pairs(&nl.rows));
     assert!(!pairs(&indexed.rows).is_empty(), "datagen must produce near names");
+}
+
+// ---- Build before probe ------------------------------------------------
+//
+// The pooled executor never runs the probe side of a nested-loop join
+// behind an empty build side (the Fig 14 and three-stage corner
+// branches). These check that the skipped work was dead: answers match
+// the pipelined executor, which runs every operator, and brute force.
+
+const RECORDS: usize = 600;
+
+fn indexed_instance(sched: SchedulerConfig) -> Instance {
+    let mut cfg = InstanceConfig::with_partitions(2);
+    cfg.scheduler = sched;
+    let db = Instance::new(cfg);
+    db.create_dataset("ARevs", "id").unwrap();
+    db.load("ARevs", amazon_reviews(RECORDS, 7)).unwrap();
+    db.create_index("ARevs", "smix", "summary", IndexKind::Keyword)
+        .unwrap();
+    db.create_index("ARevs", "nix", "reviewerName", IndexKind::NGram(2))
+        .unwrap();
+    db.flush("ARevs").unwrap();
+    db
+}
+
+/// The operators feeding the probe side (input 1) of a nested-loop join:
+/// Fig 14's corner branch.
+fn probe_side_ops(profile: &asterix_core::QueryProfile) -> Vec<&asterix_core::OpProfile> {
+    profile
+        .operators
+        .iter()
+        .filter(|o| o.name == "nested-loop-join")
+        .map(|j| {
+            profile
+                .operators
+                .iter()
+                .find(|o| o.id == j.inputs[1])
+                .expect("probe input")
+        })
+        .collect()
+}
+
+fn profiled() -> QueryOptions {
+    QueryOptions {
+        profile: true,
+        ..QueryOptions::default()
+    }
+}
+
+/// The brute-force answer of an outer-window join over `records`.
+fn brute_force(
+    records: &[Value],
+    window: std::ops::Range<i64>,
+    keep: impl Fn(&Value, &Value) -> bool,
+) -> Vec<(i64, i64)> {
+    let id = |r: &Value| r.field_path("id").as_i64().unwrap();
+    let mut out = Vec::new();
+    for o in records.iter().filter(|r| window.contains(&id(r))) {
+        for i in records {
+            if keep(o, i) {
+                out.push((id(o), id(i)));
+            }
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+fn text<'a>(r: &'a Value, field: &str) -> &'a str {
+    r.field_path(field).as_str().unwrap()
+}
+
+fn jaccard_join(lo: i64, hi: i64) -> String {
+    format!(
+        "for $o in dataset ARevs for $i in dataset ARevs \
+         where $o.id >= {lo} and $o.id < {hi} \
+           and similarity-jaccard(word-tokens($o.summary), word-tokens($i.summary)) >= 0.5 \
+         return [ $o.id, $i.id ]"
+    )
+}
+
+fn edit_join(lo: i64, hi: i64) -> String {
+    format!(
+        "for $o in dataset ARevs for $i in dataset ARevs \
+         where $o.id >= {lo} and $o.id < {hi} \
+           and edit-distance($o.reviewerName, $i.reviewerName) <= 1 \
+         return [ $o.id, $i.id ]"
+    )
+}
+
+/// With no corner rows in the outer window, the index-NL join's corner
+/// branch never scans its inner side: its build side is empty.
+#[test]
+fn index_join_without_corner_rows_never_scans_the_inner_side() {
+    let pooled = indexed_instance(SchedulerConfig::default());
+    let seed = indexed_instance(SchedulerConfig::disabled());
+    let records = amazon_reviews(RECORDS, 7);
+    let (lo, hi) = (30, 40);
+    assert!(
+        records[lo as usize..hi as usize]
+            .iter()
+            .all(|r| !asterix_simfn::word_tokens(text(r, "summary")).is_empty()),
+        "the window must hold no empty token set"
+    );
+    let q = jaccard_join(lo, hi);
+    let r = pooled.query_with(&q, &profiled()).unwrap();
+    let profile = r.profile.as_ref().expect("profile requested");
+    let probes = probe_side_ops(profile);
+    assert_eq!(probes.len(), 1, "one corner branch");
+    let inner = probes[0];
+    assert_eq!(inner.name, "dataset-scan");
+    assert_eq!((inner.input_tuples, inner.output_tuples), (0, 0));
+    assert!(inner.partition_times.is_empty(), "the inner scan ran: {inner:?}");
+    // The ranged outer scan read only the window.
+    let scanned: u64 = profile
+        .operators
+        .iter()
+        .filter(|o| o.name == "dataset-scan")
+        .map(|o| o.output_tuples)
+        .sum();
+    assert_eq!(scanned, (hi - lo) as u64);
+
+    let expected = brute_force(&records, lo..hi, |o, i| {
+        asterix_simfn::jaccard(
+            &asterix_simfn::word_tokens(text(o, "summary")),
+            &asterix_simfn::word_tokens(text(i, "summary")),
+        ) >= 0.5
+    });
+    assert_eq!(pairs(&r.rows), expected);
+    assert_eq!(pairs(&seed.query(&q).unwrap().rows), expected);
+}
+
+/// With corner rows in the outer window (an empty token set for
+/// Jaccard, a 1-char name for edit distance with k = 1) the corner
+/// branch runs, and both executors agree with brute force.
+#[test]
+fn index_join_corner_rows_match_seed_executor_and_brute_force() {
+    let pooled = indexed_instance(SchedulerConfig::default());
+    let seed = indexed_instance(SchedulerConfig::disabled());
+    let mut records = amazon_reviews(RECORDS, 7);
+    // Two corner rows inside the window, one empty-summary row outside.
+    for (id, name, summary) in [(52i64, "a", ""), (55, "b", "!!"), (400, "c", "")] {
+        let rec = asterix_adm::record! {
+            "id" => id, "reviewerName" => name, "summary" => summary, "score" => 3i64
+        };
+        records[id as usize] = rec.clone();
+        pooled.insert("ARevs", rec.clone()).unwrap();
+        seed.insert("ARevs", rec).unwrap();
+    }
+    let (lo, hi) = (50, 60);
+    let jaccard = brute_force(&records, lo..hi, |o, i| {
+        asterix_simfn::jaccard(
+            &asterix_simfn::word_tokens(text(o, "summary")),
+            &asterix_simfn::word_tokens(text(i, "summary")),
+        ) >= 0.5
+    });
+    let edit = brute_force(&records, lo..hi, |o, i| {
+        asterix_simfn::edit_distance(text(o, "reviewerName"), text(i, "reviewerName")) <= 1
+    });
+    assert!(jaccard.contains(&(52, 400)) && jaccard.contains(&(55, 52)));
+    for (q, expected) in [(jaccard_join(lo, hi), jaccard), (edit_join(lo, hi), edit)] {
+        let r = pooled.query_with(&q, &profiled()).unwrap();
+        let probes = probe_side_ops(r.profile.as_ref().unwrap());
+        assert_eq!(probes.len(), 1, "{q}");
+        assert_eq!(probes[0].output_tuples, RECORDS as u64, "{q}: the inner scan must run");
+        assert_eq!(pairs(&r.rows), expected, "{q}");
+        assert_eq!(pairs(&seed.query(&q).unwrap().rows), expected, "{q}");
+    }
+}
+
+/// The three-stage join's corner branch re-tokenises the inner side for
+/// a nested-loop join against the outer empty-token rows. With none, the
+/// re-tokenising select never runs. (The outer key window keeps the two
+/// corner selects apart; without it Fig 20 reuse makes them one
+/// operator, which is then the build side itself.)
+#[test]
+fn three_stage_join_without_empty_token_sets_skips_its_corner_select() {
+    let run = |sched: SchedulerConfig| {
+        let mut cfg = InstanceConfig::with_partitions(2);
+        cfg.scheduler = sched;
+        let db = Instance::new(cfg);
+        db.create_dataset("ARevs", "id").unwrap();
+        db.load("ARevs", amazon_reviews(120, 11)).unwrap();
+        let q = "for $o in dataset ARevs for $i in dataset ARevs \
+                 where $o.id >= 10 and $o.id < 40 \
+                   and similarity-jaccard(word-tokens($o.summary), word-tokens($i.summary)) >= 0.5 \
+                 return [ $o.id, $i.id ]";
+        db.query_with(q, &profiled()).unwrap()
+    };
+    assert!(amazon_reviews(120, 11)
+        .iter()
+        .all(|r| !asterix_simfn::word_tokens(text(r, "summary")).is_empty()));
+    let pooled = run(SchedulerConfig::default());
+    assert!(
+        pooled.plan.rewrites.iter().any(|(n, _)| *n == "three-stage-similarity-join"),
+        "{:?}",
+        pooled.plan.rewrites
+    );
+    let probes = probe_side_ops(pooled.profile.as_ref().unwrap());
+    assert_eq!(probes.len(), 1);
+    let corner = probes[0];
+    assert_eq!(corner.name, "select");
+    assert!(corner.partition_times.is_empty(), "the corner select ran: {corner:?}");
+    assert_eq!((corner.input_tuples, corner.output_tuples), (0, 0));
+    let seed = run(SchedulerConfig::disabled());
+    assert_eq!(pairs(&pooled.rows), pairs(&seed.rows));
+    assert!(!pooled.rows.is_empty());
 }

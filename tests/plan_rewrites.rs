@@ -336,3 +336,212 @@ fn sim_operator_follows_set_statements_for_both_measures() {
         ed.explain
     );
 }
+
+/// Sorted `(o, i)` pairs of a join returning `{"o": .., "i": ..}`.
+fn join_pairs(rows: &[asterix_adm::Value]) -> Vec<(i64, i64)> {
+    let mut pairs: Vec<(i64, i64)> = rows
+        .iter()
+        .map(|r| {
+            let id = |f: &str| r.field_path(f).as_i64().expect("integer id");
+            (id("o"), id("i"))
+        })
+        .collect();
+    pairs.sort_unstable();
+    pairs
+}
+
+fn scan_count(plan: &asterix_core::PlanInfo) -> usize {
+    plan.physical_ops
+        .iter()
+        .find(|(n, _)| *n == "dataset-scan")
+        .map_or(0, |(_, c)| *c)
+}
+
+/// Fig 10/14 with a primary-key window on the outer side: the outer
+/// scan reads only the window, and the corner branch's inner scan stays a
+/// full scan of its own, so Fig 20 reuse must not merge the two.
+#[test]
+fn index_join_outer_scan_is_key_ranged_and_inner_scan_stays_full() {
+    let n = 60;
+    let db = db_with_indexes(n);
+    let q = r#"
+        for $o in dataset ARevs
+        for $i in dataset ARevs
+        where $o.id >= 10 and $o.id < 15
+          and similarity-jaccard(word-tokens($o.summary),
+                                 word-tokens($i.summary)) >= 0.5
+        return {"o": $o.id, "i": $i.id}
+    "#;
+    let r = db.query(q).unwrap();
+    let e = &r.plan.explain;
+    let fired = |rule: &str| r.plan.rewrites.iter().any(|(n, _)| *n == rule);
+    assert!(fired("introduce-index-nested-loop-join"), "{:?}", r.plan.rewrites);
+    assert!(fired("introduce-primary-key-range"), "{:?}", r.plan.rewrites);
+    assert!(e.contains("data-scan ARevs key [10, 15) -> "), "{e}");
+    assert!(e.contains("data-scan ARevs -> "), "{e}");
+    assert_eq!(scan_count(&r.plan), 2, "{:?}", r.plan.physical_ops);
+
+    let recs = amazon_reviews(n, 123);
+    let summary = |id: i64| {
+        asterix_simfn::word_tokens(recs[id as usize].field_path("summary").as_str().unwrap())
+    };
+    let mut expected = Vec::new();
+    for o in 10..15 {
+        for i in 0..n as i64 {
+            if asterix_simfn::jaccard(&summary(o), &summary(i)) >= 0.5 {
+                expected.push((o, i));
+            }
+        }
+    }
+    assert_eq!(join_pairs(&r.rows), expected);
+}
+
+/// An un-indexed Jaccard join with the same key window still takes the
+/// three-stage plan, and answers as the nested-loop plan does.
+#[test]
+fn three_stage_join_still_fires_beside_a_key_range() {
+    let db = Instance::new(InstanceConfig::with_partitions(2));
+    db.create_dataset("ARevs", "id").unwrap();
+    db.load("ARevs", amazon_reviews(40, 5)).unwrap();
+    let q = r#"
+        for $o in dataset ARevs
+        for $i in dataset ARevs
+        where $o.id < 12
+          and similarity-jaccard(word-tokens($o.summary),
+                                 word-tokens($i.summary)) >= 0.5
+        return {"o": $o.id, "i": $i.id}
+    "#;
+    let r = db.query(q).unwrap();
+    assert!(
+        r.plan.rewrites.iter().any(|(n, _)| *n == "three-stage-similarity-join"),
+        "{:?}",
+        r.plan.rewrites
+    );
+    let nl = db
+        .query_with(
+            q,
+            &QueryOptions {
+                optimizer: Some(OptimizerConfig {
+                    enable_three_stage: false,
+                    ..OptimizerConfig::default()
+                }),
+                ..QueryOptions::default()
+            },
+        )
+        .unwrap();
+    assert!(nl.plan.explain.contains("key (*, 12)"), "{}", nl.plan.explain);
+    assert_eq!(join_pairs(&r.rows), join_pairs(&nl.rows));
+    assert!(!r.rows.is_empty());
+}
+
+/// Each conjunct form the key-range rule reads, printed on the scan.
+#[test]
+fn key_range_conjunct_forms() {
+    let db = Instance::new(InstanceConfig::with_partitions(2));
+    db.create_dataset("ARevs", "id").unwrap();
+    db.load("ARevs", amazon_reviews(20, 3)).unwrap();
+    let cases: [(&str, Option<&str>, usize); 13] = [
+        ("$t.id = 7", Some("[7, 7.0]"), 1),
+        ("$t.id < 7", Some("(*, 7)"), 7),
+        ("$t.id <= 7", Some("(*, 7.0]"), 8),
+        ("$t.id > 7", Some("(7.0, *)"), 12),
+        ("$t.id >= 7", Some("[7, *)"), 13),
+        ("7 > $t.id", Some("(*, 7)"), 7),
+        ("7.0 <= $t.id", Some("[7, *)"), 13),
+        ("6.5 < $t.id and $t.id < 9.5", Some("(6.5, 9.5)"), 3),
+        ("$t.id >= 3 and $t.id >= 5 and $t.id > 4", Some("[5, *)"), 15),
+        ("$t.id >= 9 and $t.id < 5", Some("[9, 5)"), 0),
+        ("$t.id >= 'abc'", Some("[\"abc\", *)"), 0),
+        ("$t.id >= null", None, 0),
+        ("$t.id != 7", None, 19),
+    ];
+    for (cond, range, rows) in cases {
+        let q = format!("for $t in dataset ARevs where {cond} return $t.id");
+        let r = db.query(&q).unwrap();
+        let e = &r.plan.explain;
+        match range {
+            Some(range) => assert!(e.contains(&format!("data-scan ARevs key {range} ->")), "{cond}: {e}"),
+            None => assert!(e.contains("data-scan ARevs ->"), "{cond}: {e}"),
+        }
+        // The select stays above the scan.
+        assert!(e.contains("select"), "{cond}: {e}");
+        assert_eq!(r.rows.len(), rows, "{cond}");
+    }
+}
+
+mod key_range_props {
+    use asterix_adm::{record, Value};
+    use asterix_core::{Instance, InstanceConfig};
+    use proptest::prelude::*;
+
+    /// Keys drawn so that `n`, `n.0` and `n + 0.5` all occur.
+    fn key_strategy() -> impl Strategy<Value = Value> {
+        (0i64..12, 0u8..3).prop_map(|(n, kind)| match kind {
+            0 => Value::Int64(n),
+            1 => Value::double(n as f64),
+            _ => Value::double(n as f64 + 0.5),
+        })
+    }
+
+    fn literal(v: &Value) -> String {
+        match v {
+            Value::Double(d) => format!("{:?}", d.0),
+            other => other.to_string(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A key-ranged scan keeps exactly the rows the predicate keeps
+        /// under query semantics (numbers compare as `f64`), over keys in
+        /// flushed and memory components alike.
+        #[test]
+        fn ranged_scan_matches_brute_force(
+            keys in prop::collection::vec(key_strategy(), 1..30),
+            flushed in 0usize..30,
+            lo in key_strategy(),
+            hi in key_strategy(),
+            lo_op in prop::sample::select(vec![">", ">=", "="]),
+            hi_op in prop::sample::select(vec!["<", "<="]),
+        ) {
+            let db = Instance::new(InstanceConfig::tiny(2));
+            db.create_dataset("D", "id").unwrap();
+            let mut keys = keys;
+            keys.sort();
+            keys.dedup();
+            for (i, k) in keys.iter().enumerate() {
+                if i == flushed {
+                    db.flush("D").unwrap();
+                }
+                db.insert("D", record! {"id" => k.clone()}).unwrap();
+            }
+            let q = format!(
+                "for $t in dataset D where $t.id {lo_op} {} and $t.id {hi_op} {} return $t.id",
+                literal(&lo),
+                literal(&hi)
+            );
+            let r = db.query(&q).unwrap();
+            prop_assert!(r.plan.explain.contains("data-scan D key "), "{}", r.plan.explain);
+            let passes = |k: &Value, op: &str, c: &Value| {
+                let (k, c) = (k.as_f64().unwrap(), c.as_f64().unwrap());
+                match op {
+                    ">" => k > c,
+                    ">=" => k >= c,
+                    "=" => k == c,
+                    "<" => k < c,
+                    _ => k <= c,
+                }
+            };
+            let mut expected: Vec<String> = keys
+                .iter()
+                .filter(|k| passes(k, lo_op, &lo) && passes(k, hi_op, &hi))
+                .map(|k| format!("{k:?}"))
+                .collect();
+            expected.sort();
+            let mut got: Vec<String> = r.rows.iter().map(|k| format!("{k:?}")).collect();
+            got.sort();
+            prop_assert_eq!(got, expected, "{}", q);
+        }
+    }
+}
