@@ -6,18 +6,13 @@
 //!
 //! `<which>` ∈ {config, datasets, table5, table6, fig15, fig22a, fig22b,
 //! fig24a, fig24b, fig25a, fig25b, fig27a, fig27bc, ablations, profile,
-//! hotpath, monitor, observe, concurrency, durability, serve, all}
+//! monitor, observe, concurrency, durability, serve, all}
 //! (default: all). Scale via env
 //! `ASTERIX_SCALE` (default 1.0 ≈ 20k Amazon records) and
 //! `ASTERIX_PARTITIONS` (default 4).
 //!
 //! `profile` runs representative queries with per-query profiling and
 //! writes the full `QueryProfile` of each to `BENCH_profile.json`.
-//!
-//! `hotpath` measures the index-search hot-path optimizations (postings
-//! cache, batched sorted primary lookups, token memoization) against a
-//! baseline with all of them disabled, pins result equality, and writes
-//! `BENCH_hotpath.json`. `--quick` shrinks it for CI.
 //!
 //! `monitor` runs the mixed workload (scans, index selections, index
 //! joins) on worker threads racing a DML + flush thread while sampling
@@ -179,9 +174,6 @@ fn main() {
     if run("profile") {
         profile_report(&cfg);
     }
-    if run("hotpath") {
-        hotpath_report(&cfg, quick);
-    }
     if run("monitor") {
         monitor_report(&cfg, quick);
     }
@@ -212,7 +204,6 @@ fn profile_report(cfg: &WorkloadConfig) {
 
     let profiled = QueryOptions {
         profile: true,
-        disable_hotpath: false,
         ..QueryOptions::default()
     };
     let jac_probe = w
@@ -273,346 +264,6 @@ fn profile_report(cfg: &WorkloadConfig) {
         &rows,
     );
     println!("wrote BENCH_profile.json ({} bytes)", json.len());
-}
-
-/// Wall time attributable to the index-plan operators the hot path
-/// optimizes: secondary index search plus primary-index lookup.
-fn index_ops_us(p: &asterix_core::QueryProfile) -> u64 {
-    p.operators
-        .iter()
-        .filter(|o| o.name == "secondary-index-search" || o.name == "primary-index-lookup")
-        .map(|o| o.max_partition_time().as_micros() as u64)
-        .sum()
-}
-
-/// Hot-path counters and times of one (query, variant) measurement.
-struct HotpathVariant {
-    execution_time_us: u64,
-    index_ops_time_us: u64,
-    inverted_elements_read: u64,
-    postings_cache_hits: u64,
-    postings_cache_misses: u64,
-    buffer_cache_hits: u64,
-    buffer_cache_misses: u64,
-    primary_lookups: u64,
-    toccurrence_candidates: u64,
-    lsm_components_searched: u64,
-    batch_frames: u64,
-    bitparallel_ed_calls: u64,
-    gallop_probes: u64,
-    scancount_fallbacks: u64,
-}
-
-impl HotpathVariant {
-    fn to_json(&self) -> asterix_adm::Value {
-        use asterix_adm::Value;
-        let int = |n: u64| Value::Int64(n as i64);
-        Value::record(vec![
-            ("execution_time_us".into(), int(self.execution_time_us)),
-            ("index_ops_time_us".into(), int(self.index_ops_time_us)),
-            (
-                "inverted_elements_read".into(),
-                int(self.inverted_elements_read),
-            ),
-            ("postings_cache_hits".into(), int(self.postings_cache_hits)),
-            (
-                "postings_cache_misses".into(),
-                int(self.postings_cache_misses),
-            ),
-            (
-                "postings_cache_hit_ratio".into(),
-                Value::double(
-                    if self.postings_cache_hits + self.postings_cache_misses == 0 {
-                        0.0
-                    } else {
-                        self.postings_cache_hits as f64
-                            / (self.postings_cache_hits + self.postings_cache_misses) as f64
-                    },
-                ),
-            ),
-            ("buffer_cache_hits".into(), int(self.buffer_cache_hits)),
-            ("buffer_cache_misses".into(), int(self.buffer_cache_misses)),
-            (
-                "buffer_cache_accesses".into(),
-                int(self.buffer_cache_hits + self.buffer_cache_misses),
-            ),
-            ("primary_lookups".into(), int(self.primary_lookups)),
-            (
-                "toccurrence_candidates".into(),
-                int(self.toccurrence_candidates),
-            ),
-            (
-                "lsm_components_searched".into(),
-                int(self.lsm_components_searched),
-            ),
-            ("batch_frames".into(), int(self.batch_frames)),
-            (
-                "bitparallel_ed_calls".into(),
-                int(self.bitparallel_ed_calls),
-            ),
-            ("gallop_probes".into(), int(self.gallop_probes)),
-            (
-                "scancount_fallbacks".into(),
-                int(self.scancount_fallbacks),
-            ),
-        ])
-    }
-}
-
-/// The hot-path before/after benchmark (`hotpath`): every executor
-/// optimization (postings cache, batched sorted primary lookups, token
-/// memoization, compile-time pre-tokenization, batch-at-a-time execution,
-/// bit-parallel/galloping similarity kernels) against a baseline with all
-/// of them off, on the same data, plus two middle variants — "row" (hot
-/// path on, batching + kernels off) isolating the batching win, and
-/// "batched" (kernels off) isolating the kernel win. Results are pinned
-/// identical across all four; the numbers go to `BENCH_hotpath.json`.
-fn hotpath_report(cfg: &WorkloadConfig, quick: bool) {
-    use asterix_adm::Value;
-    use asterix_bench::workloads::DatasetInfo;
-
-    let records = if quick {
-        cfg.amazon_records.min(1_500)
-    } else {
-        cfg.amazon_records
-    };
-    let iters: u64 = if quick { 2 } else { 5 };
-    let outer = if quick { 50 } else { 200 };
-
-    // Two identically-loaded instances: the baseline one has the postings
-    // cache disabled at the storage layer (capacity 0).
-    let build = |postings_cache_entries: Option<usize>| -> Workloads {
-        let mut ic = InstanceConfig::with_partitions(cfg.partitions);
-        if let Some(n) = postings_cache_entries {
-            ic.storage.postings_cache_entries = n;
-        }
-        let db = Instance::new(ic);
-        db.create_dataset("AmazonReview", "id").unwrap();
-        db.load("AmazonReview", amazon_reviews(records, cfg.seed))
-            .unwrap();
-        let w = Workloads {
-            db,
-            datasets: vec![DatasetInfo {
-                name: "AmazonReview",
-                ed_field: "reviewerName",
-                jac_field: "summary",
-                records,
-            }],
-            config: cfg.clone(),
-        };
-        w.build_indexes();
-        // Flush so both variants read disk components (the interesting
-        // case for the postings cache and the batched lookups).
-        w.db.flush("AmazonReview").unwrap();
-        w
-    };
-    let base_w = build(Some(0));
-    let opt_w = build(None);
-
-    // Baseline: per-tuple operators, no compile-time tokenization, scalar
-    // kernels (plus the disabled postings cache above).
-    let mut base_opts = options(|c| c.pre_tokenize = false);
-    base_opts.profile = true;
-    base_opts.disable_hotpath = true;
-    base_opts.disable_batching = true;
-    base_opts.disable_kernels = true;
-    // Row variant: hot-path optimizations on, but operators exchange row
-    // frames, verify per tuple, and use the scalar kernels — isolates the
-    // batching win against the next variant.
-    let row_opts = QueryOptions {
-        profile: true,
-        disable_batching: true,
-        disable_kernels: true,
-        ..QueryOptions::default()
-    };
-    // Batched variant: batch-at-a-time execution with the scalar kernels
-    // pinned — isolates the kernel win against the full variant.
-    let batched_opts = QueryOptions {
-        profile: true,
-        disable_kernels: true,
-        ..QueryOptions::default()
-    };
-    // Kernels variant: everything on (bit-parallel edit distance,
-    // galloping T-occurrence intersection).
-    let opt_opts = QueryOptions {
-        profile: true,
-        ..QueryOptions::default()
-    };
-
-    let jac_probe = opt_w
-        .search_values("AmazonReview", "summary", 1, 3, 3, 66)
-        .pop()
-        .unwrap_or_else(|| "great product value".into());
-    let ed_probe = opt_w
-        .search_values("AmazonReview", "reviewerName", 1, 1, 3, 67)
-        .pop()
-        .unwrap_or_else(|| "maria".into());
-    // Row-returning (not count) queries so result equality is pinned at
-    // row granularity.
-    let specs: Vec<(&str, String)> = vec![
-        (
-            "jac-sel-0.5-index",
-            format!(
-                r#"for $o in dataset AmazonReview
-                   where similarity-jaccard(word-tokens($o.summary),
-                                            word-tokens('{jac_probe}')) >= 0.5
-                   return {{"oid": $o.id}}"#
-            ),
-        ),
-        (
-            "ed-sel-1-index",
-            format!(
-                r#"for $o in dataset AmazonReview
-                   where edit-distance($o.reviewerName, '{ed_probe}') <= 1
-                   return {{"oid": $o.id}}"#
-            ),
-        ),
-        (
-            "jac-join-0.8-index",
-            format!(
-                r#"for $o in dataset AmazonReview
-                   for $i in dataset AmazonReview
-                   where $o.id < {outer}
-                     and similarity-jaccard(word-tokens($o.summary),
-                                            word-tokens($i.summary)) >= 0.8
-                     and $o.id < $i.id
-                   return {{"oid": $o.id, "iid": $i.id}}"#
-            ),
-        ),
-    ];
-
-    // One measurement: a warm-up run, then the best (minimum) of `iters`
-    // timed runs. The warm-up populates the buffer and postings caches,
-    // so the measured runs are steady state for both variants; taking the
-    // minimum rather than the mean makes the report robust against
-    // scheduling noise from the host (one descheduled worker thread can
-    // double a single run's wall time).
-    let measure = |w: &Workloads, opts: &QueryOptions, q: &str| -> (Vec<Value>, HotpathVariant) {
-        let warm = w.db.query_with(q, opts).unwrap();
-        let mut rows = warm.rows;
-        rows.sort();
-        let mut exec_us = u64::MAX;
-        let mut ops_us = u64::MAX;
-        let mut last = None;
-        for _ in 0..iters {
-            let r = w.db.query_with(q, opts).unwrap();
-            exec_us = exec_us.min(r.execution_time.as_micros() as u64);
-            ops_us = ops_us.min(index_ops_us(r.profile.as_ref().expect("profile requested")));
-            last = Some(r);
-        }
-        let last = last.expect("at least one iteration");
-        let p = last.profile.as_ref().expect("profile requested");
-        (
-            rows,
-            HotpathVariant {
-                execution_time_us: exec_us,
-                index_ops_time_us: ops_us,
-                inverted_elements_read: p.index_search.inverted_elements_read,
-                postings_cache_hits: p.index_search.postings_cache_hits,
-                postings_cache_misses: p.index_search.postings_cache_misses,
-                buffer_cache_hits: p.cache.hits,
-                buffer_cache_misses: p.cache.misses,
-                primary_lookups: p.index_search.primary_lookups,
-                toccurrence_candidates: p.index_search.toccurrence_candidates,
-                lsm_components_searched: p.lsm.components_searched,
-                batch_frames: p.operators.iter().map(|o| o.batch_frames_emitted).sum(),
-                bitparallel_ed_calls: p.kernels.bitparallel_ed_calls,
-                gallop_probes: p.kernels.gallop_probes,
-                scancount_fallbacks: p.kernels.scancount_fallbacks,
-            },
-        )
-    };
-
-    let mut entries = Vec::new();
-    let mut table = Vec::new();
-    for (name, q) in &specs {
-        let (base_rows, base) = measure(&base_w, &base_opts, q);
-        let (row_rows, row) = measure(&opt_w, &row_opts, q);
-        let (batched_rows, batched) = measure(&opt_w, &batched_opts, q);
-        let (opt_rows, opt) = measure(&opt_w, &opt_opts, q);
-        // Property pin: neither the hot path, batching, nor the kernels
-        // may change any result row.
-        assert_eq!(
-            base_rows, opt_rows,
-            "hot path changed the results of {name}"
-        );
-        assert_eq!(row_rows, opt_rows, "batching changed the results of {name}");
-        assert_eq!(
-            batched_rows, opt_rows,
-            "kernels changed the results of {name}"
-        );
-        let speedup = base.index_ops_time_us as f64 / opt.index_ops_time_us.max(1) as f64;
-        let total_speedup =
-            base.execution_time_us as f64 / opt.execution_time_us.max(1) as f64;
-        let batch_speedup =
-            row.execution_time_us as f64 / batched.execution_time_us.max(1) as f64;
-        let kernel_speedup =
-            batched.execution_time_us as f64 / opt.execution_time_us.max(1) as f64;
-        table.push(vec![
-            name.to_string(),
-            base_rows.len().to_string(),
-            format!(
-                "{} -> {}",
-                fmt_duration(std::time::Duration::from_micros(base.index_ops_time_us)),
-                fmt_duration(std::time::Duration::from_micros(opt.index_ops_time_us)),
-            ),
-            format!("{speedup:.2}x"),
-            format!("{total_speedup:.2}x"),
-            format!("{batch_speedup:.2}x"),
-            format!("{kernel_speedup:.2}x"),
-            format!(
-                "{} -> {}",
-                base.inverted_elements_read, opt.inverted_elements_read
-            ),
-            format!(
-                "{:.1}%",
-                100.0 * opt.postings_cache_hits as f64
-                    / (opt.postings_cache_hits + opt.postings_cache_misses).max(1) as f64
-            ),
-        ]);
-        entries.push(Value::record(vec![
-            ("name".to_string(), Value::from(*name)),
-            ("query".to_string(), Value::from(q.as_str())),
-            (
-                "result_count".to_string(),
-                Value::Int64(base_rows.len() as i64),
-            ),
-            ("results_identical".to_string(), Value::Boolean(true)),
-            ("baseline".to_string(), base.to_json()),
-            ("row".to_string(), row.to_json()),
-            ("batched".to_string(), batched.to_json()),
-            ("kernels".to_string(), opt.to_json()),
-            ("index_ops_speedup".to_string(), Value::double(speedup)),
-            ("total_speedup".to_string(), Value::double(total_speedup)),
-            ("batch_speedup".to_string(), Value::double(batch_speedup)),
-            ("kernel_speedup".to_string(), Value::double(kernel_speedup)),
-        ]));
-    }
-    let doc = Value::record(vec![
-        ("partitions".to_string(), Value::Int64(cfg.partitions as i64)),
-        ("amazon_records".to_string(), Value::Int64(records as i64)),
-        ("iterations".to_string(), Value::Int64(iters as i64)),
-        ("quick".to_string(), Value::Boolean(quick)),
-        ("queries".to_string(), Value::OrderedList(entries)),
-    ]);
-    let json = asterix_adm::json::to_string(&doc);
-    std::fs::write("BENCH_hotpath.json", &json).unwrap();
-    print_table(
-        "Hot path: baseline (no cache, per-tuple ops, scalar kernels) vs optimized",
-        &[
-            "Query",
-            "Rows",
-            "Index-ops time",
-            "Speedup",
-            "Total",
-            "Batch",
-            "Kernel",
-            "Elements read",
-            "Postings hit ratio",
-        ],
-        &table,
-    );
-    println!("wrote BENCH_hotpath.json ({} bytes)", json.len());
 }
 
 /// The telemetry monitor (`monitor`): a mixed workload — scans, index

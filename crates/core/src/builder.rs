@@ -307,9 +307,6 @@ impl PreparedQuery {
         let job_options = JobOptions {
             timeout: options.timeout,
             counters: counters.clone(),
-            disable_hotpath: options.disable_hotpath,
-            disable_batching: options.disable_batching,
-            disable_kernels: options.disable_kernels,
             trace: None,
             pool: db.scheduler().map(|s| s.pool().clone()),
             cancel: None,

@@ -1309,9 +1309,6 @@ impl Instance {
         let job_options = JobOptions {
             timeout: options.timeout,
             counters: counters.clone(),
-            disable_hotpath: options.disable_hotpath,
-            disable_batching: options.disable_batching,
-            disable_kernels: options.disable_kernels,
             trace: trace
                 .clone()
                 .zip(exec_span.as_ref().map(|s| s.id())),

@@ -39,10 +39,6 @@ pub struct OpProfile {
     /// Frames this operator sent downstream (channel sends of up to
     /// `FRAME_CAPACITY` tuples).
     pub frames_emitted: u64,
-    /// How many of those frames were columnar batches (`Frame::Batch`)
-    /// moved zero-copy; `frames_emitted - batch_frames_emitted` travelled
-    /// as row vectors.
-    pub batch_frames_emitted: u64,
     /// Heap bytes of the values sent downstream.
     pub bytes_emitted: u64,
     /// Wall time of every partition instance, sorted by partition.
@@ -119,7 +115,7 @@ pub struct KernelProfile {
     /// full-intersection T-occurrence path.
     pub gallop_probes: u64,
     /// T-occurrence searches that fell back to the ScanCount kernel
-    /// (threshold below list count, or kernels disabled).
+    /// (threshold below list count, lists too short for DivideSkip).
     pub scancount_fallbacks: u64,
 }
 
@@ -193,7 +189,6 @@ impl QueryProfile {
                 input_tuples: s.map_or(0, |s| s.input_tuples),
                 output_tuples: s.map_or(0, |s| s.output_tuples),
                 frames_emitted: s.map_or(0, |s| s.frames_emitted),
-                batch_frames_emitted: s.map_or(0, |s| s.batch_frames_emitted),
                 bytes_emitted: s.map_or(0, |s| s.bytes_emitted),
                 partition_times,
                 inputs: inputs.into_iter().map(|(_, from)| from).collect(),
@@ -264,10 +259,6 @@ impl QueryProfile {
                         ("input_tuples".into(), Value::Int64(o.input_tuples as i64)),
                         ("output_tuples".into(), Value::Int64(o.output_tuples as i64)),
                         ("frames_emitted".into(), Value::Int64(o.frames_emitted as i64)),
-                        (
-                            "batch_frames_emitted".into(),
-                            Value::Int64(o.batch_frames_emitted as i64),
-                        ),
                         ("bytes_emitted".into(), Value::Int64(o.bytes_emitted as i64)),
                         (
                             "partition_times_us".into(),
@@ -464,13 +455,12 @@ impl QueryProfile {
             out.push_str("  ");
         }
         out.push_str(&format!(
-            "{} [{}] in={} out={} frames={} batch_frames={} bytes={} max_partition={:?}\n",
+            "{} [{}] in={} out={} frames={} bytes={} max_partition={:?}\n",
             o.name,
             o.id,
             o.input_tuples,
             o.output_tuples,
             o.frames_emitted,
-            o.batch_frames_emitted,
             o.bytes_emitted,
             o.max_partition_time(),
         ));

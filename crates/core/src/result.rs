@@ -19,23 +19,6 @@ pub struct QueryOptions {
     /// runtime stats plus storage counters (cache, index search, LSM)
     /// attributed to this query alone, even under concurrency.
     pub profile: bool,
-    /// Run the executor with its hot-path optimizations (batched
-    /// primary-index lookups, probe-token memoization) disabled. Results
-    /// are identical either way; benchmarks flip this to measure the
-    /// optimizations against a true baseline.
-    pub disable_hotpath: bool,
-    /// Run the executor's operators with row frames on every edge, no
-    /// vectorized verify kernels and unranked T-occurrence merging. The
-    /// operators run the same bodies either way and results are
-    /// identical; benchmarks flip this to measure batch frames and
-    /// kernels against that baseline.
-    pub disable_batching: bool,
-    /// Keep batch execution but pin the scalar similarity kernels: banded
-    /// DP instead of Myers bit-parallel edit distance, rank/count
-    /// T-occurrence merging instead of the full-intersection gallop.
-    /// Results are identical either way; benchmarks flip this to measure
-    /// the kernels against the batched-but-scalar baseline.
-    pub disable_kernels: bool,
     /// Override the instance's slow-query threshold for this query: if
     /// its execution time meets or exceeds this, the telemetry layer
     /// captures the full plan + profile + spans into the slow-query log.

@@ -35,7 +35,7 @@ use crate::error::{panic_message, CancelToken, ExecError, OpError};
 use crate::job::{JobSpec, OpId, PhysicalOp};
 use crate::ops::{run_operator, Out, Router};
 use crate::pool::{PoolScope, WorkerPool};
-use crate::tuple::{Frame, Tuple};
+use crate::tuple::{BatchSlice, Tuple};
 use asterix_storage::{MemoryBudget, QueryCounters};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -94,23 +94,6 @@ pub struct JobOptions {
     /// (cache hits/misses, index probes, …) are attributed to this job
     /// even while other jobs run concurrently.
     pub counters: Option<Arc<QueryCounters>>,
-    /// Disable the batched primary-index lookup and probe-token
-    /// memoization hot paths, falling back to the per-tuple
-    /// implementations. Results are identical either way; this exists so
-    /// benchmarks can measure the optimizations against a true baseline.
-    pub disable_hotpath: bool,
-    /// Disable batch-at-a-time execution (batch frames, vectorized verify
-    /// kernels, rank-array T-occurrence merging), reverting to the seed
-    /// row-at-a-time path. Results are identical either way; this exists
-    /// so benchmarks can measure vectorization against a true baseline.
-    pub disable_batching: bool,
-    /// Disable the bit-parallel / galloping similarity kernels (Myers
-    /// edit distance in the verify kernels, full-intersection gallop in
-    /// the T-occurrence merge), pinning the scalar banded-DP and
-    /// rank/count merges the batched path used before. Results are
-    /// identical either way; this exists so benchmarks can measure the
-    /// kernels against the batched-but-scalar baseline.
-    pub disable_kernels: bool,
     /// Per-query trace plus the span id to parent operator spans under
     /// (the caller's `execute` span). When set, every operator partition
     /// records one span with its wall time.
@@ -160,9 +143,6 @@ pub struct OpStats {
     /// Frames sent downstream across all partitions (a frame is one
     /// channel send of up to `FRAME_CAPACITY` tuples).
     pub frames_emitted: u64,
-    /// Of those, frames that carried a shared batch slice (zero-copy
-    /// batch-at-a-time sends).
-    pub batch_frames_emitted: u64,
     /// Heap bytes of the values sent downstream across all partitions.
     pub bytes_emitted: u64,
     /// Wall time of every partition instance, as (partition, time).
@@ -264,7 +244,7 @@ fn run_task(
     op: &PhysicalOp,
     op_id: OpId,
     partition: usize,
-    inputs: Vec<Receiver<Frame>>,
+    inputs: Vec<Receiver<BatchSlice>>,
     routers: Vec<Router>,
     report: &(dyn Fn(ExecError) + Sync),
 ) {
@@ -309,11 +289,6 @@ fn run_task(
             shared.ctx,
             shared.cancel,
             sink_target,
-            crate::ops::OpFlags {
-                disable_hotpath: shared.options.disable_hotpath,
-                disable_batching: shared.options.disable_batching,
-                disable_kernels: shared.options.disable_kernels,
-            },
         )
     }));
     let elapsed = t0.elapsed();
@@ -349,7 +324,6 @@ fn run_task(
             entry.input_tuples += input_tuples;
             entry.output_tuples += out_counts.tuples;
             entry.frames_emitted += out_counts.frames;
-            entry.batch_frames_emitted += out_counts.batch_frames;
             entry.bytes_emitted += out_counts.bytes;
             entry.max_partition_time = entry.max_partition_time.max(elapsed);
             entry.max_partition_input = entry.max_partition_input.max(input_tuples);
@@ -373,8 +347,8 @@ fn run_pipelined(
     // Channels: one bounded (sender, receiver) pair per (edge, consumer
     // partition). Producers of an edge share clones of all its senders.
     struct EdgeChannels {
-        senders: Vec<Sender<Frame>>,
-        receivers: Vec<Option<Receiver<Frame>>>,
+        senders: Vec<Sender<BatchSlice>>,
+        receivers: Vec<Option<Receiver<BatchSlice>>>,
     }
     let mut edge_channels: Vec<EdgeChannels> = Vec::with_capacity(job.edges.len());
     for _ in &job.edges {
@@ -435,7 +409,7 @@ fn run_pipelined(
                 // `validate()` rejects double-consumed input slots, so each
                 // receiver is taken exactly once; a `None` here means an
                 // internal wiring bug, reported as an error, never a panic.
-                let mut inputs: Vec<Receiver<Frame>> = Vec::with_capacity(input_edges.len());
+                let mut inputs: Vec<Receiver<BatchSlice>> = Vec::with_capacity(input_edges.len());
                 let mut wiring_error = None;
                 for ei in &input_edges {
                     match edge_channels[*ei].receivers[partition].take() {
@@ -516,8 +490,8 @@ fn submit_op<'env>(
     job: &'env JobSpec,
     op_index: usize,
     p: usize,
-    edge_receivers: &mut [Vec<Option<Receiver<Frame>>>],
-    edge_senders: &[Vec<Sender<Frame>>],
+    edge_receivers: &mut [Vec<Option<Receiver<BatchSlice>>>],
+    edge_senders: &[Vec<Sender<BatchSlice>>],
     input_edges: &[Vec<usize>],
     output_edges: &[Vec<usize>],
     shared: &'env TaskShared<'env>,
@@ -530,7 +504,7 @@ fn submit_op<'env>(
     // vectors; an enumerate over any single one of them would misread.
     #[allow(clippy::needless_range_loop)]
     for partition in 0..p {
-        let mut inputs: Vec<Receiver<Frame>> = Vec::with_capacity(input_edges[op_index].len());
+        let mut inputs: Vec<Receiver<BatchSlice>> = Vec::with_capacity(input_edges[op_index].len());
         let mut wiring_error = None;
         for ei in &input_edges[op_index] {
             match edge_receivers[*ei][partition].take() {
@@ -593,8 +567,8 @@ fn run_pooled(
     // consumer task that is not scheduled yet (deadlock on a full pool).
     // The per-query memory budget re-bounds what backpressure no longer
     // does.
-    let mut edge_senders: Vec<Vec<Sender<Frame>>> = Vec::with_capacity(job.edges.len());
-    let mut edge_receivers: Vec<Vec<Option<Receiver<Frame>>>> =
+    let mut edge_senders: Vec<Vec<Sender<BatchSlice>>> = Vec::with_capacity(job.edges.len());
+    let mut edge_receivers: Vec<Vec<Option<Receiver<BatchSlice>>>> =
         Vec::with_capacity(job.edges.len());
     for _ in &job.edges {
         let mut senders = Vec::with_capacity(p);

@@ -7,8 +7,9 @@
 //! A [`job::JobSpec`] is a DAG of physical operators connected by
 //! [`job::ConnectorKind`]s. The executor ([`exec`]) instantiates every
 //! operator once per partition (the simulated cluster's node × partition
-//! grid), runs each instance on its own thread, and moves frames of tuples
-//! between instances over channels according to the connector:
+//! grid), runs each instance on its own thread, and moves frames (shared
+//! batch slices) between instances over channels according to the
+//! connector:
 //!
 //! * `OneToOne` — partition-local pipeline edge ("Local" in the paper's
 //!   plan figures),
@@ -52,8 +53,8 @@ pub use expr::{CmpOp, Expr};
 pub use job::{
     AggSpec, ConnectorKind, FaultMode, JobSpec, OpId, PhysicalOp, PreTokenized, SearchMeasure,
 };
-pub use ops::{OpFlags, OutCounts};
+pub use ops::OutCounts;
 pub use pool::{PoolScope, SchedulerConfig, WorkerPool};
 pub use progress::{JobProgress, OpProgress, OpProgressSnapshot};
-pub use tuple::{Batch, BatchSlice, Column, Frame, FrameRows, SortKey, Tuple, FRAME_CAPACITY};
+pub use tuple::{Batch, BatchSlice, Column, SortKey, Tuple, FRAME_CAPACITY};
 pub use vectorized::VerifyKernel;

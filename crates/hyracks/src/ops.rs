@@ -11,10 +11,10 @@ use crate::error::{CancelToken, ExecError, OpError};
 use crate::job::{AggSpec, ConnectorKind, FaultMode, PhysicalOp, PreTokenized, SearchMeasure};
 use crate::expr::Expr;
 use crate::tuple::{
-    hash_cells, Batch, BatchSlice, CellRef, Column, Frame, SortKey, Tuple, FRAME_CAPACITY,
+    hash_cells, Batch, BatchSlice, CellRef, Column, SortKey, Tuple, FRAME_CAPACITY,
 };
 use crate::vectorized::{eval_expr_on_batch, eval_pred_on_batch, VerifyKernel};
-use asterix_adm::{stable_hash_many, IndexKind, Value};
+use asterix_adm::{IndexKind, Value};
 use asterix_simfn::{edit_distance_t_bound, jaccard_t_bound, FunctionRegistry, FxHashMap};
 use crossbeam::channel::{Receiver, RecvTimeoutError, SendTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
@@ -38,8 +38,8 @@ const POLL_INTERVAL: Duration = Duration::from_millis(10);
 /// disconnected consumer (error or limit downstream) is not an error:
 /// dropping the frame is correct either way.
 fn send_frame(
-    tx: &Sender<Frame>,
-    mut frame: Frame,
+    tx: &Sender<BatchSlice>,
+    mut frame: BatchSlice,
     cancel: &CancelToken,
 ) -> Result<(), ExecError> {
     loop {
@@ -52,17 +52,15 @@ fn send_frame(
     }
 }
 
-/// Routes a producer partition's output tuples to the consumer partitions
+/// Routes a producer partition's output slices to the consumer partitions
 /// of one edge.
 pub struct Router {
     kind: ConnectorKind,
     /// One sender per consumer partition.
-    senders: Vec<Sender<Frame>>,
-    buffers: Vec<Vec<Tuple>>,
+    senders: Vec<Sender<BatchSlice>>,
     producer_partition: usize,
     cancel: Arc<CancelToken>,
     frames_sent: u64,
-    batch_frames_sent: u64,
     bytes_sent: u64,
 }
 
@@ -70,19 +68,16 @@ impl Router {
     /// A router shipping frames to `senders` according to `kind`.
     pub fn new(
         kind: ConnectorKind,
-        senders: Vec<Sender<Frame>>,
+        senders: Vec<Sender<BatchSlice>>,
         producer_partition: usize,
         cancel: Arc<CancelToken>,
     ) -> Self {
-        let n = senders.len();
         Router {
             kind,
             senders,
-            buffers: (0..n).map(|_| Vec::new()).collect(),
             producer_partition,
             cancel,
             frames_sent: 0,
-            batch_frames_sent: 0,
             bytes_sent: 0,
         }
     }
@@ -95,50 +90,16 @@ impl Router {
         }
     }
 
-    fn push(&mut self, tuple: &Tuple) -> Result<(), ExecError> {
-        match &self.kind {
-            ConnectorKind::OneToOne => self.buffer(self.producer_partition, tuple.clone()),
-            ConnectorKind::ToOne => self.buffer(0, tuple.clone()),
-            ConnectorKind::Broadcast => {
-                for p in 0..self.senders.len() {
-                    self.buffer(p, tuple.clone())?;
-                }
-                Ok(())
-            }
-            ConnectorKind::Hash(cols) => {
-                let mut keys: Vec<&Value> = Vec::with_capacity(cols.len());
-                for c in cols {
-                    match tuple.get(*c) {
-                        Some(v) => keys.push(v),
-                        None => return Err(self.hash_col_error(cols, tuple.len())),
-                    }
-                }
-                let p = (stable_hash_many(&keys) % self.senders.len() as u64) as usize;
-                self.buffer(p, tuple.clone())
-            }
-        }
-    }
-
     /// Route a whole batch slice. Non-hash kinds forward the slice
     /// zero-copy (one `Arc` clone per consumer); hash routing builds one
     /// selection vector per consumer partition over the shared batch.
-    /// Buffered row sends to an affected partition are flushed first so
-    /// per-consumer ordering is preserved.
     fn push_slice(&mut self, slice: &BatchSlice) -> Result<(), ExecError> {
         match &self.kind {
-            ConnectorKind::OneToOne => {
-                let p = self.producer_partition;
-                self.flush_partition(p)?;
-                self.send_counted(p, Frame::Batch(slice.clone()))
-            }
-            ConnectorKind::ToOne => {
-                self.flush_partition(0)?;
-                self.send_counted(0, Frame::Batch(slice.clone()))
-            }
+            ConnectorKind::OneToOne => self.send_counted(self.producer_partition, slice.clone()),
+            ConnectorKind::ToOne => self.send_counted(0, slice.clone()),
             ConnectorKind::Broadcast => {
                 for p in 0..self.senders.len() {
-                    self.flush_partition(p)?;
-                    self.send_counted(p, Frame::Batch(slice.clone()))?;
+                    self.send_counted(p, slice.clone())?;
                 }
                 Ok(())
             }
@@ -157,47 +118,21 @@ impl Router {
                     if keep.is_empty() {
                         continue;
                     }
-                    self.flush_partition(p)?;
                     let sub = if keep.len() == slice.len() {
                         slice.clone()
                     } else {
                         slice.narrow(keep)
                     };
-                    self.send_counted(p, Frame::Batch(sub))?;
+                    self.send_counted(p, sub)?;
                 }
                 Ok(())
             }
         }
     }
 
-    fn buffer(&mut self, partition: usize, tuple: Tuple) -> Result<(), ExecError> {
-        let buf = &mut self.buffers[partition];
-        buf.push(tuple);
-        if buf.len() >= FRAME_CAPACITY {
-            self.send_buffered(partition)?;
-        }
-        Ok(())
-    }
-
-    fn flush_partition(&mut self, partition: usize) -> Result<(), ExecError> {
-        if !self.buffers[partition].is_empty() {
-            self.send_buffered(partition)?;
-        }
-        Ok(())
-    }
-
-    /// Ship the buffered row frame of one consumer partition.
-    fn send_buffered(&mut self, partition: usize) -> Result<(), ExecError> {
-        let rows = std::mem::take(&mut self.buffers[partition]);
-        self.send_counted(partition, Frame::Rows(rows))
-    }
-
     /// Count and ship one frame, charging the memory budget.
-    fn send_counted(&mut self, partition: usize, frame: Frame) -> Result<(), ExecError> {
+    fn send_counted(&mut self, partition: usize, frame: BatchSlice) -> Result<(), ExecError> {
         self.frames_sent += 1;
-        if matches!(frame, Frame::Batch(_)) {
-            self.batch_frames_sent += 1;
-        }
         let frame_bytes = frame.heap_bytes();
         self.bytes_sent += frame_bytes;
         // Charge the frame against the query's memory budget (scoped onto
@@ -211,13 +146,6 @@ impl Router {
         }
         send_frame(&self.senders[partition], frame, &self.cancel)
     }
-
-    fn flush(&mut self) -> Result<(), ExecError> {
-        for p in 0..self.senders.len() {
-            self.flush_partition(p)?;
-        }
-        Ok(())
-    }
 }
 
 /// What one operator instance pushed downstream: tuples, frames (channel
@@ -228,8 +156,6 @@ pub struct OutCounts {
     pub tuples: u64,
     /// Frames (channel sends) shipped.
     pub frames: u64,
-    /// Of those, frames carrying a shared batch slice (zero-copy sends).
-    pub batch_frames: u64,
     /// Heap bytes of the shipped tuples.
     pub bytes: u64,
 }
@@ -242,9 +168,6 @@ pub struct Out {
     /// Live progress slot of the owning operator: pushed tuples count
     /// here as they happen, so observers see mid-execution progress.
     live: Option<std::sync::Arc<crate::progress::OpProgress>>,
-    /// Ship output slices as row frames (`disable_batching`, which
-    /// promises no batch frame on any edge).
-    rows: bool,
 }
 
 impl Out {
@@ -254,7 +177,6 @@ impl Out {
             routers,
             produced: 0,
             live: None,
-            rows: false,
         }
     }
 
@@ -265,21 +187,13 @@ impl Out {
         self
     }
 
-    /// Push one tuple down every outgoing edge.
-    fn push(&mut self, tuple: Tuple) -> Result<(), ExecError> {
-        self.produced += 1;
-        if let Some(p) = &self.live {
-            p.add_out(1);
+    /// The one exit of every operator: push an output slice down every
+    /// outgoing edge (zero-copy for non-hash connectors). Empty slices
+    /// are dropped.
+    fn emit(&mut self, slice: &BatchSlice) -> Result<(), ExecError> {
+        if slice.is_empty() {
+            return Ok(());
         }
-        for r in &mut self.routers {
-            r.push(&tuple)?;
-        }
-        Ok(())
-    }
-
-    /// Push a whole batch slice down every outgoing edge (zero-copy for
-    /// non-hash connectors).
-    fn push_slice(&mut self, slice: &BatchSlice) -> Result<(), ExecError> {
         self.produced += slice.len() as u64;
         if let Some(p) = &self.live {
             p.add_out(slice.len() as u64);
@@ -290,52 +204,32 @@ impl Out {
         Ok(())
     }
 
-    /// The one exit of every operator: ship an output slice zero-copy,
-    /// or as rows when the operator runs under `disable_batching`. Empty
-    /// slices are dropped.
-    fn emit(&mut self, slice: &BatchSlice) -> Result<(), ExecError> {
-        if slice.is_empty() {
-            return Ok(());
-        }
-        if self.rows {
-            for pos in 0..slice.len() {
-                self.push(slice.row(pos))?;
-            }
-            return Ok(());
-        }
-        self.push_slice(slice)
-    }
-
     /// [`Out::emit`] a batch the operator built.
     fn emit_batch(&mut self, batch: Batch) -> Result<(), ExecError> {
         self.emit(&BatchSlice::full(Arc::new(batch)))
     }
 
-    /// Flush remaining buffers and close the streams, returning counts.
-    pub fn finish(mut self) -> Result<OutCounts, ExecError> {
-        for r in &mut self.routers {
-            r.flush()?;
-        }
-        Ok(OutCounts {
+    /// Close the streams, returning counts.
+    pub fn finish(self) -> OutCounts {
+        OutCounts {
             tuples: self.produced,
             frames: self.routers.iter().map(|r| r.frames_sent).sum(),
-            batch_frames: self.routers.iter().map(|r| r.batch_frames_sent).sum(),
             bytes: self.routers.iter().map(|r| r.bytes_sent).sum(),
-        })
+        }
         // Senders drop here, signalling end-of-stream downstream.
     }
 }
 
-/// Cancel-aware frame stream over one input edge. Yields `Err` once the
+/// Cancel-aware slice stream over one input edge. Yields `Err` once the
 /// job's cancel token trips; ends cleanly on upstream disconnect.
-struct FrameStream<'a> {
-    rx: &'a Receiver<Frame>,
+struct SliceStream<'a> {
+    rx: &'a Receiver<BatchSlice>,
     cancel: &'a CancelToken,
     done: bool,
 }
 
-impl Iterator for FrameStream<'_> {
-    type Item = Result<Frame, ExecError>;
+impl Iterator for SliceStream<'_> {
+    type Item = Result<BatchSlice, ExecError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
@@ -355,14 +249,6 @@ impl Iterator for FrameStream<'_> {
                 }
             }
         }
-    }
-}
-
-fn recv_frames<'a>(rx: &'a Receiver<Frame>, cancel: &'a CancelToken) -> FrameStream<'a> {
-    FrameStream {
-        rx,
-        cancel,
-        done: false,
     }
 }
 
@@ -446,60 +332,20 @@ impl AggState {
     }
 }
 
-/// Per-operator feature toggles, threaded from
-/// [`crate::exec::JobOptions`]. All default to off (all optimizations
-/// on); the bench harness flips them to measure against baselines. Every
-/// operator runs the same body either way, and results are identical.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OpFlags {
-    /// No probe-token memoization in the secondary-index search, and
-    /// per-key point lookups instead of one sorted multi-get per slice in
-    /// the primary-index lookup.
-    pub disable_hotpath: bool,
-    /// Row frames on every edge (the emit step ships each output slice as
-    /// rows), no vectorized verify kernels, and unranked T-occurrence
-    /// merging.
-    pub disable_batching: bool,
-    /// Keep batch execution but pin the scalar similarity kernels: banded
-    /// DP instead of Myers bit-parallel edit distance, rank/count
-    /// T-occurrence merging instead of the full-intersection gallop.
-    /// Results are identical either way.
-    pub disable_kernels: bool,
-}
-
-/// Split one input frame into batch slices: batch frames pass through;
-/// row frames (an upstream under `disable_batching`) are re-batched by
-/// moving their values (no clone), and a ragged row frame becomes one
-/// batch per row.
-fn frame_slices(frame: Frame) -> Vec<BatchSlice> {
-    match frame {
-        Frame::Batch(slice) => vec![slice],
-        Frame::Rows(rows) => match Batch::from_rows(rows) {
-            Ok(b) => vec![BatchSlice::full(Arc::new(b))],
-            Err(rows) => rows
-                .into_iter()
-                .filter_map(|r| Batch::from_rows(vec![r]).ok())
-                .map(|b| BatchSlice::full(Arc::new(b)))
-                .collect(),
-        },
+/// Cancel-aware stream of one input edge's batch slices.
+fn recv_slices<'a>(rx: &'a Receiver<BatchSlice>, cancel: &'a CancelToken) -> SliceStream<'a> {
+    SliceStream {
+        rx,
+        cancel,
+        done: false,
     }
 }
 
-/// Cancel-aware stream of one input edge's batch slices.
-fn recv_slices<'a>(
-    rx: &'a Receiver<Frame>,
-    cancel: &'a CancelToken,
-) -> impl Iterator<Item = Result<BatchSlice, ExecError>> + 'a {
-    recv_frames(rx, cancel).flat_map(|frame| -> Vec<Result<BatchSlice, ExecError>> {
-        match frame {
-            Ok(frame) => frame_slices(frame).into_iter().map(Ok).collect(),
-            Err(e) => vec![Err(e)],
-        }
-    })
-}
-
 /// Every slice of one input edge, for blocking operators.
-fn drain_slices(rx: &Receiver<Frame>, cancel: &CancelToken) -> Result<Vec<BatchSlice>, ExecError> {
+fn drain_slices(
+    rx: &Receiver<BatchSlice>,
+    cancel: &CancelToken,
+) -> Result<Vec<BatchSlice>, ExecError> {
     recv_slices(rx, cancel).collect()
 }
 
@@ -511,8 +357,8 @@ fn slice_picks(slice: &BatchSlice) -> Vec<(u32, u32)> {
 }
 
 /// The visible rows of a slice as a batch the caller owns: the batch
-/// itself when the slice is whole and unshared (a re-batched row frame),
-/// otherwise a column-wise gather (record cells as `Arc` clones).
+/// itself when the slice is whole and unshared, otherwise a column-wise
+/// gather (record cells as `Arc` clones).
 fn owned_rows(slice: BatchSlice) -> Result<Batch, String> {
     let BatchSlice { batch, sel } = slice;
     let batch = match (sel.is_none(), Arc::try_unwrap(batch)) {
@@ -593,13 +439,10 @@ impl HashChains {
     }
 }
 
-/// Forward one frame's rows unchanged (batch slices stay zero-copy).
-fn forward_frame(out: &mut Out, frame: Frame, consumed: &mut u64) -> Result<(), ExecError> {
-    for slice in frame_slices(frame) {
-        *consumed += slice.len() as u64;
-        out.emit(&slice)?;
-    }
-    Ok(())
+/// Forward one slice unchanged (zero-copy).
+fn forward_slice(out: &mut Out, slice: BatchSlice, consumed: &mut u64) -> Result<(), ExecError> {
+    *consumed += slice.len() as u64;
+    out.emit(&slice)
 }
 
 /// The predicate of a select or nested-loop join, evaluated over batch
@@ -611,13 +454,11 @@ struct Filter<'p> {
 }
 
 impl<'p> Filter<'p> {
-    fn new(predicate: &'p Expr, flags: OpFlags) -> Self {
-        let kernel = if flags.disable_batching {
-            None
-        } else {
-            VerifyKernel::compile_with(predicate, !flags.disable_kernels)
-        };
-        Filter { predicate, kernel }
+    fn new(predicate: &'p Expr) -> Self {
+        Filter {
+            predicate,
+            kernel: VerifyKernel::compile(predicate),
+        }
     }
 
     /// Positions (indices into `slice`) of the accepted rows, in order.
@@ -756,24 +597,18 @@ pub enum SinkTarget<'a> {
 }
 
 /// Run one operator instance. Returns (input tuples, output counts).
-/// Every operator has one body over batch slices; [`OpFlags`] only
-/// switches the emit step, the verify kernels and the index hot paths
-/// (the bench harness's before/after toggles), so results are identical
-/// either way.
-#[allow(clippy::too_many_arguments)]
+/// Every operator has one body over batch slices.
 pub fn run_operator(
     op: &PhysicalOp,
     partition: usize,
-    inputs: Vec<Receiver<Frame>>,
+    inputs: Vec<Receiver<BatchSlice>>,
     mut out: Out,
     ctx: &ClusterContext,
     cancel: &CancelToken,
     sink: SinkTarget<'_>,
-    flags: OpFlags,
 ) -> Result<(u64, OutCounts), OpError> {
     let reg = &ctx.registry;
     let mut consumed: u64 = 0;
-    out.rows = flags.disable_batching;
     match op {
         PhysicalOp::EmptySource => {
             if partition == 0 {
@@ -781,7 +616,7 @@ pub fn run_operator(
                 // assign their constants to.
                 out.emit_batch(Batch::from_columns(1, Vec::new()).map_err(OpError::Failed)?)?;
             }
-            Ok((0, out.finish()?))
+            Ok((0, out.finish()))
         }
         PhysicalOp::DatasetScan { dataset, range } => {
             let set = ctx.partitions[partition].read();
@@ -799,10 +634,10 @@ pub fn run_operator(
                 }
             }
             emit_scanned(&mut out, &mut pks, &mut recs)?;
-            Ok((0, out.finish()?))
+            Ok((0, out.finish()))
         }
         PhysicalOp::Select { predicate } => {
-            let mut filter = Filter::new(predicate, flags);
+            let mut filter = Filter::new(predicate);
             for slice in recv_slices(&inputs[0], cancel) {
                 let slice = slice?;
                 consumed += slice.len() as u64;
@@ -813,7 +648,7 @@ pub fn run_operator(
                     out.emit(&slice.narrow(keep))?;
                 }
             }
-            Ok((consumed, out.finish()?))
+            Ok((consumed, out.finish()))
         }
         PhysicalOp::Assign { exprs } => {
             for slice in recv_slices(&inputs[0], cancel) {
@@ -840,7 +675,7 @@ pub fn run_operator(
                 }
                 out.emit_batch(b)?;
             }
-            Ok((consumed, out.finish()?))
+            Ok((consumed, out.finish()))
         }
         PhysicalOp::Project { cols } => {
             // Gather only the projected columns: dropped columns (most
@@ -856,7 +691,7 @@ pub fn run_operator(
                     .map_err(|e| OpError::Failed(format!("project: {e}")))?;
                 out.emit_batch(b)?;
             }
-            Ok((consumed, out.finish()?))
+            Ok((consumed, out.finish()))
         }
         PhysicalOp::Sort { keys } => run_batch_sort(keys, &inputs[0], out, cancel, &mut consumed),
         PhysicalOp::HashJoin {
@@ -864,7 +699,7 @@ pub fn run_operator(
             right_keys,
         } => run_hash_join(left_keys, right_keys, &inputs, out, cancel, &mut consumed),
         PhysicalOp::NestedLoopJoin { predicate } => run_nested_loop_join(
-            Filter::new(predicate, flags),
+            Filter::new(predicate),
             &inputs,
             out,
             cancel,
@@ -909,7 +744,7 @@ pub fn run_operator(
                 }
                 emit_fanout(&mut out, src, &picks, extra)?;
             }
-            Ok((consumed, out.finish()?))
+            Ok((consumed, out.finish()))
         }
         PhysicalOp::StreamPos => {
             let mut next: i64 = 0;
@@ -926,7 +761,7 @@ pub fn run_operator(
                 next += n;
                 out.emit_batch(b)?;
             }
-            Ok((consumed, out.finish()?))
+            Ok((consumed, out.finish()))
         }
         PhysicalOp::SecondaryIndexSearch {
             dataset,
@@ -939,18 +774,7 @@ pub fn run_operator(
             let store = set
                 .store(dataset)
                 .ok_or_else(|| format!("unknown dataset '{dataset}'"))?;
-            let mut memo = TokenMemo::new(
-                pre_tokens.as_ref(),
-                if flags.disable_hotpath {
-                    0
-                } else {
-                    TOKEN_MEMO_CAPACITY
-                },
-            );
-            // The ranked candidate path delivers postings as interned
-            // `u32` rank arrays merged by the vectorized T-occurrence
-            // kernels; candidates (and their order) are identical.
-            let ranked = !flags.disable_batching;
+            let mut memo = TokenMemo::new(pre_tokens.as_ref());
             for slice in recv_slices(&inputs[0], cancel) {
                 let slice = slice?;
                 consumed += slice.len() as u64;
@@ -962,21 +786,14 @@ pub fn run_operator(
                 let mut pks: Vec<Value> = Vec::new();
                 for pos in 0..slice.len() {
                     let row = slice.row_index(pos);
-                    let candidates = index_candidates(
-                        store,
-                        index,
-                        &keys.value(row),
-                        measure,
-                        &mut memo,
-                        ranked,
-                        !flags.disable_kernels,
-                    )?;
+                    let candidates =
+                        index_candidates(store, index, &keys.value(row), measure, &mut memo)?;
                     picks.extend(std::iter::repeat_n((0, row as u32), candidates.len()));
                     pks.extend(candidates);
                 }
                 emit_fanout(&mut out, src, &picks, vec![pks])?;
             }
-            Ok((consumed, out.finish()?))
+            Ok((consumed, out.finish()))
         }
         PhysicalOp::PrimaryIndexLookup { dataset, pk_col } => {
             let set = ctx.partitions[partition].read();
@@ -984,10 +801,9 @@ pub fn run_operator(
                 .store(dataset)
                 .ok_or_else(|| format!("unknown dataset '{dataset}'"))?;
             // Each slice resolves its keys as one sorted, deduped multi-get
-            // (one merged pass per LSM component, §4.1.1), or key by key
-            // under `disable_hotpath`. The fetched records ride along as a
-            // *shared* column: a record referenced by many candidate rows
-            // is deep-copied zero times.
+            // (one merged pass per LSM component, §4.1.1). The fetched
+            // records ride along as a *shared* column: a record referenced
+            // by many candidate rows is deep-copied zero times.
             let mut pks: Vec<Value> = Vec::with_capacity(FRAME_CAPACITY);
             let mut sorted: Vec<Value> = Vec::with_capacity(FRAME_CAPACITY);
             for slice in recv_slices(&inputs[0], cancel) {
@@ -996,40 +812,27 @@ pub fn run_operator(
                 let col = resolve_cols(&slice.batch, &[*pk_col], "primary-index-lookup", "pk")?[0];
                 pks.clear();
                 pks.extend((0..slice.len()).map(|pos| col.value(slice.row_index(pos))));
-                let records: Vec<Option<Arc<Value>>> = if flags.disable_hotpath {
-                    let mut records = Vec::with_capacity(pks.len());
-                    for pk in &pks {
-                        records.push(store.primary().get(pk)?.map(Arc::new));
-                    }
-                    records
-                } else {
-                    sorted.clear();
-                    sorted.extend(pks.iter().cloned());
-                    sorted.sort();
-                    sorted.dedup();
-                    let fetched: Vec<Option<Arc<Value>>> = store
-                        .primary()
-                        .get_many_sorted(&sorted)?
-                        .into_iter()
-                        .map(|o| o.map(Arc::new))
-                        .collect();
-                    let mut records = Vec::with_capacity(pks.len());
-                    for pk in &pks {
-                        let i = sorted.binary_search(pk).map_err(|_| {
-                            OpError::Failed(
-                                "primary-index-lookup: key vanished from its own batch".to_string(),
-                            )
-                        })?;
-                        records.push(fetched[i].clone());
-                    }
-                    records
-                };
+                sorted.clear();
+                sorted.extend(pks.iter().cloned());
+                sorted.sort();
+                sorted.dedup();
+                let fetched: Vec<Option<Arc<Value>>> = store
+                    .primary()
+                    .get_many_sorted(&sorted)?
+                    .into_iter()
+                    .map(|o| o.map(Arc::new))
+                    .collect();
                 let mut keep: Vec<(u32, u32)> = Vec::with_capacity(pks.len());
                 let mut recs: Vec<Arc<Value>> = Vec::with_capacity(pks.len());
-                for (pos, rec) in records.into_iter().enumerate() {
-                    if let Some(rec) = rec {
+                for (pos, pk) in pks.iter().enumerate() {
+                    let i = sorted.binary_search(pk).map_err(|_| {
+                        OpError::Failed(
+                            "primary-index-lookup: key vanished from its own batch".to_string(),
+                        )
+                    })?;
+                    if let Some(rec) = &fetched[i] {
                         keep.push((0, slice.row_index(pos) as u32));
-                        recs.push(rec);
+                        recs.push(Arc::clone(rec));
                     }
                 }
                 if keep.is_empty() {
@@ -1041,14 +844,14 @@ pub fn run_operator(
                 b.push_col(Column::Shared(recs)).map_err(OpError::Failed)?;
                 out.emit_batch(b)?;
             }
-            Ok((consumed, out.finish()?))
+            Ok((consumed, out.finish()))
         }
         PhysicalOp::Union => {
             // Round-robin over all open inputs rather than draining them in
             // order: with bounded edge channels, sequential draining can
             // deadlock when several inputs share an upstream producer (the
             // producer blocks on the un-drained branch).
-            let mut open: Vec<Option<&Receiver<Frame>>> = inputs.iter().map(Some).collect();
+            let mut open: Vec<Option<&Receiver<BatchSlice>>> = inputs.iter().map(Some).collect();
             let mut remaining = open.len();
             while remaining > 0 {
                 cancel.check()?;
@@ -1058,7 +861,7 @@ pub fn run_operator(
                     match rx.try_recv() {
                         Ok(frame) => {
                             received = true;
-                            forward_frame(&mut out, frame, &mut consumed)?;
+                            forward_slice(&mut out, frame, &mut consumed)?;
                         }
                         Err(TryRecvError::Empty) => {}
                         Err(TryRecvError::Disconnected) => {
@@ -1073,7 +876,7 @@ pub fn run_operator(
                     if let Some(rx) = open.iter().flatten().next() {
                         match rx.recv_timeout(POLL_INTERVAL) {
                             Ok(frame) => {
-                                forward_frame(&mut out, frame, &mut consumed)?;
+                                forward_slice(&mut out, frame, &mut consumed)?;
                             }
                             Err(RecvTimeoutError::Timeout)
                             | Err(RecvTimeoutError::Disconnected) => {}
@@ -1081,7 +884,7 @@ pub fn run_operator(
                     }
                 }
             }
-            Ok((consumed, out.finish()?))
+            Ok((consumed, out.finish()))
         }
         PhysicalOp::Materialize => {
             let all = drain_slices(&inputs[0], cancel)?;
@@ -1089,7 +892,7 @@ pub fn run_operator(
                 consumed += slice.len() as u64;
                 out.emit(slice)?;
             }
-            Ok((consumed, out.finish()?))
+            Ok((consumed, out.finish()))
         }
         PhysicalOp::Limit { n } => {
             let mut left = *n;
@@ -1103,7 +906,7 @@ pub fn run_operator(
                     break; // stop reading; upstream sends are dropped
                 }
             }
-            Ok((consumed, out.finish()?))
+            Ok((consumed, out.finish()))
         }
         PhysicalOp::Throttle { micros_per_tuple } => {
             // Test-support: forward tuples at a bounded rate, re-checking
@@ -1123,7 +926,7 @@ pub fn run_operator(
                     out.emit(&slice.narrow(vec![pos as u32]))?;
                 }
             }
-            Ok((consumed, out.finish()?))
+            Ok((consumed, out.finish()))
         }
         PhysicalOp::FaultInject {
             partition: fail_partition,
@@ -1148,14 +951,15 @@ pub fn run_operator(
             if failing {
                 inject_fault(mode, partition)?;
             }
-            Ok((consumed, out.finish()?))
+            Ok((consumed, out.finish()))
         }
         PhysicalOp::ResultSink => {
             // The one place rows are built: the client consumes owned
             // tuples.
             let mut collected: Vec<Tuple> = Vec::new();
-            for frame in recv_frames(&inputs[0], cancel) {
-                let rows: Vec<Tuple> = frame?.into_rows().collect();
+            for slice in recv_slices(&inputs[0], cancel) {
+                let slice = slice?;
+                let rows: Vec<Tuple> = (0..slice.len()).map(|pos| slice.row(pos)).collect();
                 consumed += rows.len() as u64;
                 match sink {
                     SinkTarget::Buffer(_) => collected.extend(rows),
@@ -1169,14 +973,12 @@ pub fn run_operator(
             if let SinkTarget::Buffer(buf) = sink {
                 buf.lock().extend(collected);
             }
-            out.finish()?;
             // The sink "emits" its rows to the client, not to a channel.
             Ok((
                 consumed,
                 OutCounts {
                     tuples: consumed,
                     frames: 0,
-                    batch_frames: 0,
                     bytes: 0,
                 },
             ))
@@ -1210,7 +1012,7 @@ fn inject_fault(mode: &FaultMode, partition: usize) -> Result<(), OpError> {
 /// widths come out in equal-width runs.
 fn run_batch_sort(
     keys: &[SortKey],
-    input: &Receiver<Frame>,
+    input: &Receiver<BatchSlice>,
     mut out: Out,
     cancel: &CancelToken,
     consumed: &mut u64,
@@ -1315,7 +1117,7 @@ fn run_batch_sort(
     if !run.is_empty() {
         out.emit_batch(groups.gather(group, &run)?)?;
     }
-    Ok((*consumed, out.finish()?))
+    Ok((*consumed, out.finish()))
 }
 
 /// Batch-native hash join. The build side (input 0) keeps its shared
@@ -1326,7 +1128,7 @@ fn run_batch_sort(
 fn run_hash_join(
     left_keys: &[usize],
     right_keys: &[usize],
-    inputs: &[Receiver<Frame>],
+    inputs: &[Receiver<BatchSlice>],
     mut out: Out,
     cancel: &CancelToken,
     consumed: &mut u64,
@@ -1372,7 +1174,7 @@ fn run_hash_join(
         }
         run.flush(&mut out, &groups, probe)?;
     }
-    Ok((*consumed, out.finish()?))
+    Ok((*consumed, out.finish()))
 }
 
 /// Batch-native nested-loop join. The build side (input 0, the broadcast
@@ -1383,7 +1185,7 @@ fn run_hash_join(
 /// probe row.
 fn run_nested_loop_join(
     mut filter: Filter<'_>,
-    inputs: &[Receiver<Frame>],
+    inputs: &[Receiver<BatchSlice>],
     mut out: Out,
     cancel: &CancelToken,
     consumed: &mut u64,
@@ -1440,7 +1242,7 @@ fn run_nested_loop_join(
         }
         run.flush(&mut out, &groups, probe)?;
     }
-    Ok((*consumed, out.finish()?))
+    Ok((*consumed, out.finish()))
 }
 
 /// Batch-native hash group-by: key cells are hashed and compared in place,
@@ -1449,7 +1251,7 @@ fn run_nested_loop_join(
 fn run_hash_group_by(
     keys: &[usize],
     aggs: &[AggSpec],
-    input: &Receiver<Frame>,
+    input: &Receiver<BatchSlice>,
     mut out: Out,
     cancel: &CancelToken,
     consumed: &mut u64,
@@ -1511,7 +1313,7 @@ fn run_hash_group_by(
         let cols = cols.into_iter().map(Column::from_values).collect();
         out.emit_batch(Batch::from_columns(n, cols).map_err(OpError::Failed)?)?;
     }
-    Ok((*consumed, out.finish()?))
+    Ok((*consumed, out.finish()))
 }
 
 /// Per-operator-instance token memoization: compile-time tokens for the
@@ -1524,16 +1326,14 @@ struct TokenMemo<'a> {
     pre: Option<&'a PreTokenized>,
     lru: HashMap<Value, (Arc<[Value]>, u64)>,
     clock: u64,
-    capacity: usize,
 }
 
 impl<'a> TokenMemo<'a> {
-    fn new(pre: Option<&'a PreTokenized>, capacity: usize) -> Self {
+    fn new(pre: Option<&'a PreTokenized>) -> Self {
         TokenMemo {
             pre,
             lru: HashMap::new(),
             clock: 0,
-            capacity,
         }
     }
 
@@ -1543,9 +1343,6 @@ impl<'a> TokenMemo<'a> {
                 return pre.tokens.clone();
             }
         }
-        if self.capacity == 0 {
-            return asterix_storage::index_tokens(kind, key).into();
-        }
         self.clock += 1;
         let stamp = self.clock;
         if let Some(slot) = self.lru.get_mut(key) {
@@ -1553,7 +1350,7 @@ impl<'a> TokenMemo<'a> {
             return slot.0.clone();
         }
         let tokens: Arc<[Value]> = asterix_storage::index_tokens(kind, key).into();
-        if self.lru.len() >= self.capacity {
+        if self.lru.len() >= TOKEN_MEMO_CAPACITY {
             if let Some(victim) = self
                 .lru
                 .iter()
@@ -1569,26 +1366,17 @@ impl<'a> TokenMemo<'a> {
 }
 
 /// Candidate primary keys from a secondary index for one search key.
-/// With `ranked`, T-occurrence merging runs on interned `u32` rank arrays
-/// (the vectorized kernels); `use_kernels` additionally enables the
-/// full-intersection gallop fast path. Candidates and their order are
-/// identical to the scalar merge in every combination.
+/// T-occurrence merging runs through
+/// [`asterix_storage::PartitionStore::inverted_candidates`]: rank-array
+/// counting, with the full-intersection gallop when every token must
+/// match.
 fn index_candidates(
     store: &asterix_storage::PartitionStore,
     index: &str,
     key: &Value,
     measure: &SearchMeasure,
     memo: &mut TokenMemo<'_>,
-    ranked: bool,
-    use_kernels: bool,
 ) -> Result<Vec<Value>, asterix_storage::StorageError> {
-    let merge = |tokens: &[Value], t: usize| {
-        if ranked {
-            store.inverted_candidates_ranked_opts(index, tokens, t, use_kernels)
-        } else {
-            store.inverted_candidates(index, tokens, t)
-        }
-    };
     match measure {
         SearchMeasure::Exact => store.btree_lookup(index, key),
         SearchMeasure::Jaccard { delta } => {
@@ -1603,7 +1391,7 @@ fn index_candidates(
             if t <= 0 || tokens.is_empty() {
                 return Ok(Vec::new());
             }
-            merge(&tokens, t as usize)
+            store.inverted_candidates(index, &tokens, t as usize)
         }
         SearchMeasure::Contains => {
             let idx = store
@@ -1634,7 +1422,7 @@ fn index_candidates(
                 return Ok(Vec::new());
             }
             let t = tokens.len();
-            merge(&tokens, t)
+            store.inverted_candidates(index, &tokens, t)
         }
         SearchMeasure::EditDistance { k } => {
             let idx = store
@@ -1666,7 +1454,7 @@ fn index_candidates(
                 // candidates from the index.
                 return Ok(Vec::new());
             }
-            merge(&tokens, t as usize)
+            store.inverted_candidates(index, &tokens, t as usize)
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Tuples, frames, batches, and sort-key comparison.
+//! Tuples, batches, and sort-key comparison.
 //!
 //! Operators exchange data batch-at-a-time:
 //!
@@ -10,14 +10,10 @@
 //!   Operators that filter or route rows build a new selection over the
 //!   *same* shared batch, so connectors move batches downstream without
 //!   copying tuple data.
-//! * [`Frame`] — the unit moved over a connector in one send: a batch
-//!   slice, or a plain row vector. Every operator runs one body over batch
-//!   slices; row frames appear only under `disable_batching`, where the
-//!   operators' shared emit step ships each output slice as rows.
 //!
-//! Every operator reads its input as batch slices, re-batching row frames
-//! with [`Batch::from_rows`]; only the result sink turns frames into
-//! owned rows ([`Frame::into_rows`]).
+//! A batch slice is also the unit moved over a connector in one send, so
+//! every edge carries batches. Every operator reads its input as slices;
+//! only the result sink turns them into owned rows ([`BatchSlice::row`]).
 
 use asterix_adm::binary::{hash_int64, hash_str, hash_value};
 use crate::expr::sql_compare;
@@ -344,12 +340,14 @@ impl Batch {
     }
 
     /// Build a batch from rectangular rows, detecting per-column storage.
-    /// Values are moved, not cloned, so batching a freshly scanned frame
-    /// costs no record copies.
+    /// Values are moved, not cloned, so batching rows costs no record
+    /// copies.
     ///
     /// Returns the rows back unchanged when they are not rectangular (or
-    /// empty); the caller ships those as a plain row frame instead.
-    pub fn from_rows(rows: Vec<Tuple>) -> Result<Batch, Vec<Tuple>> {
+    /// empty). Tests build their batches with it; operators build theirs
+    /// column by column.
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: Vec<Tuple>) -> Result<Batch, Vec<Tuple>> {
         let Some(width) = rows.first().map(Vec::len) else {
             return Err(rows);
         };
@@ -571,83 +569,6 @@ impl BatchSlice {
     }
 }
 
-/// A frame is the unit moved over a connector in one send: either a plain
-/// row vector (the seed representation) or a zero-copy batch slice.
-#[derive(Clone, Debug)]
-pub enum Frame {
-    /// Row-at-a-time payload.
-    Rows(Vec<Tuple>),
-    /// Batch-at-a-time payload.
-    Batch(BatchSlice),
-}
-
-impl Frame {
-    /// Number of visible rows in the frame.
-    pub fn len(&self) -> usize {
-        match self {
-            Frame::Rows(r) => r.len(),
-            Frame::Batch(s) => s.len(),
-        }
-    }
-
-    /// True when the frame carries no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Heap bytes shipped with this frame (exact for rows, proportional
-    /// for batch slices).
-    pub fn heap_bytes(&self) -> u64 {
-        match self {
-            Frame::Rows(rows) => rows
-                .iter()
-                .map(|t| t.iter().map(|v| v.heap_size() as u64).sum::<u64>())
-                .sum(),
-            Frame::Batch(s) => s.heap_bytes(),
-        }
-    }
-
-    /// Consume the frame as an iterator of owned rows (batch rows are
-    /// materialized by cloning).
-    pub fn into_rows(self) -> FrameRows {
-        match self {
-            Frame::Rows(r) => FrameRows::Rows(r.into_iter()),
-            Frame::Batch(s) => FrameRows::Batch { slice: s, pos: 0 },
-        }
-    }
-}
-
-/// Owned-row iterator over either [`Frame`] variant.
-pub enum FrameRows {
-    /// Draining a row frame.
-    Rows(std::vec::IntoIter<Tuple>),
-    /// Materializing a batch slice row by row.
-    Batch {
-        /// The slice being drained.
-        slice: BatchSlice,
-        /// Next slice position to materialize.
-        pos: usize,
-    },
-}
-
-impl Iterator for FrameRows {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        match self {
-            FrameRows::Rows(it) => it.next(),
-            FrameRows::Batch { slice, pos } => {
-                if *pos >= slice.len() {
-                    return None;
-                }
-                let t = slice.row(*pos);
-                *pos += 1;
-                Some(t)
-            }
-        }
-    }
-}
-
 /// One sort key: a column index and a direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SortKey {
@@ -840,30 +761,10 @@ mod tests {
     }
 
     #[test]
-    fn frame_rows_iterates_both_variants() {
-        let rows = sample_rows();
-        let row_frame = Frame::Rows(rows.clone());
-        assert_eq!(row_frame.into_rows().collect::<Vec<_>>(), rows);
-        let batch_frame = batch_frame(rows.clone());
-        assert_eq!(batch_frame.len(), 3);
-        assert_eq!(batch_frame.into_rows().collect::<Vec<_>>(), rows);
-    }
-
-    #[test]
     fn frame_heap_bytes_proportional_for_slices() {
-        let rows = sample_rows();
-        let full = batch_frame(rows);
+        let full = BatchSlice::full(Arc::new(Batch::from_rows(sample_rows()).unwrap()));
         let full_bytes = full.heap_bytes();
         assert!(full_bytes > 0);
-        if let Frame::Batch(slice) = full {
-            let half = slice.narrow(vec![0]);
-            assert!(half.heap_bytes() < full_bytes);
-        }
-    }
-
-    fn batch_frame(rows: Vec<Tuple>) -> Frame {
-        Frame::Batch(BatchSlice::full(Arc::new(
-            Batch::from_rows(rows).expect("rectangular"),
-        )))
+        assert!(full.narrow(vec![0]).heap_bytes() < full_bytes);
     }
 }

@@ -309,7 +309,7 @@ struct KernelState {
     chars: FxHashMap<String, Arc<[char]>>,
     scratch: EdScratch,
     /// Allow the Myers bit-parallel edit-distance dispatch; `false` pins
-    /// the scalar banded DP (the `disable_kernels` switch).
+    /// the scalar banded DP (the kernel tests' oracle).
     use_bitparallel: bool,
 }
 
@@ -393,8 +393,8 @@ impl VerifyKernel {
 
     /// [`VerifyKernel::compile`] with the Myers bit-parallel edit-distance
     /// dispatch switchable: `use_bitparallel = false` pins the scalar
-    /// banded DP (the `disable_kernels` benchmark baseline). Acceptance is
-    /// identical either way.
+    /// banded DP, which the kernel tests use as their oracle. Acceptance
+    /// is identical either way.
     pub fn compile_with(pred: &Expr, use_bitparallel: bool) -> Option<VerifyKernel> {
         let conjuncts = match pred {
             Expr::And(parts) => {

@@ -1,23 +1,25 @@
-//! Batched execution must be invisible: for any dataset and any plan,
-//! batch frames with vectorized verify kernels and row frames without
-//! them (`JobOptions::disable_batching`) produce identical result sets.
-//! These property tests drive the plan shapes the paper's workload uses —
-//! full scans with a verify select, index-accelerated selections, index
-//! nested-loop joins, and the three-stage join's unnest / hash-join /
-//! hash-group-by / stream-pos operators — over randomized datasets, plus
-//! a corpus of malformed plans that must fail with typed operator errors
-//! instead of panicking. Since both settings run the same operator
-//! bodies, the reference tests at the end compute the expected rows
-//! themselves with the interpreter (`Expr::eval`).
+//! Batch execution must equal a row-at-a-time reference: for any dataset
+//! and any plan, the batch operators (with their vectorized verify
+//! kernels, ranked T-occurrence and sorted multi-gets) return the rows the
+//! test computes itself from the input rows, with the interpreter
+//! (`Expr::eval`) and plain loops. These property tests drive the plan
+//! shapes the paper's workload uses — full scans with a verify select,
+//! index-accelerated selections, index nested-loop joins, and the
+//! three-stage join's unnest / hash-join / hash-group-by / stream-pos
+//! operators — over randomized datasets, plus a corpus of malformed plans
+//! that must fail with typed operator errors instead of panicking.
 
 use asterix_adm::{DatasetDef, IndexDef, IndexKind, Value};
+use asterix_hyracks::expr::sql_compare;
 use asterix_hyracks::{
     run_job_with, AggSpec, ClusterContext, CmpOp, ConnectorKind, ExecError, Expr, FaultMode,
     JobOptions, JobSpec, OpId, PhysicalOp, SearchMeasure, SortKey, Tuple,
 };
-use asterix_simfn::FunctionRegistry;
-use asterix_storage::{BufferCache, Disk, PartitionStore, StorageConfig};
+use asterix_simfn::{edit_distance_t_bound, jaccard_t_bound, FunctionRegistry};
+use asterix_storage::{index_tokens, BufferCache, Disk, PartitionStore, StorageConfig};
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const NAMES: &[&str] = &[
@@ -92,43 +94,89 @@ fn row_record(id: i64, name: &str, summary: &str) -> Value {
     Value::record(fields)
 }
 
-/// Run `job` twice — batched and row-at-a-time — and require identical
-/// result multisets (order within a partition gather is not guaranteed
-/// for every plan, so compare sorted).
-fn assert_parity(job: &JobSpec, ctx: &ClusterContext) {
-    let batched = run_job_with(
-        job,
-        ctx,
-        &JobOptions {
-            disable_batching: false,
-            ..JobOptions::default()
-        },
-    )
-    .expect("batched run failed");
-    let row = run_job_with(
-        job,
-        ctx,
-        &JobOptions {
-            disable_batching: true,
-            ..JobOptions::default()
-        },
-    )
-    .expect("row run failed");
-    let key = |t: &Tuple| format!("{t:?}");
-    let mut b: Vec<String> = batched.0.iter().map(key).collect();
-    let mut r: Vec<String> = row.0.iter().map(key).collect();
-    b.sort();
-    r.sort();
-    assert_eq!(b, r, "batched and row results diverged");
-    // The row run must not have produced any batch frames; the batched
-    // run of scan-rooted plans must have produced at least one.
-    let row_batch_frames: u64 = row
-        .1
-        .per_op
-        .values()
-        .map(|s| s.batch_frames_emitted)
-        .sum();
-    assert_eq!(row_batch_frames, 0, "disable_batching still sent batches");
+/// The dataset as one partition's scan produces it: `[pk, rec]` in pk
+/// order.
+fn dataset_rows(rows: &[(i64, String, String)]) -> Vec<Tuple> {
+    rows.iter()
+        .map(|(id, name, summary)| vec![Value::Int64(*id), row_record(*id, name, summary)])
+        .collect()
+}
+
+/// The rows `pred` accepts by the interpreter; `Err` when it errors on any.
+fn reference_filter(rows: &[Tuple], pred: &Expr) -> Result<Vec<Tuple>, String> {
+    let reg = FunctionRegistry::with_builtins();
+    let mut out = Vec::new();
+    for r in rows {
+        if pred.eval(r, &reg)?.is_true() {
+            out.push(r.clone());
+        }
+    }
+    Ok(out)
+}
+
+/// `build ++ probe` pairs `pred` accepts, in probe order and build order
+/// within a probe row — the nested-loop join's contract.
+fn reference_nl_join(build: &[Tuple], probe: &[Tuple], pred: &Expr) -> Result<Vec<Tuple>, String> {
+    let pairs: Vec<Tuple> = probe
+        .iter()
+        .flat_map(|p| build.iter().map(move |b| b.iter().chain(p).cloned().collect()))
+        .collect();
+    reference_filter(&pairs, pred)
+}
+
+/// Each row with `exprs` evaluated on it appended, as an assign emits it.
+fn reference_assign(rows: &[Tuple], exprs: &[Expr]) -> Result<Vec<Tuple>, String> {
+    let reg = FunctionRegistry::with_builtins();
+    rows.iter()
+        .map(|r| {
+            let mut out = r.clone();
+            for e in exprs {
+                out.push(e.eval(r, &reg)?);
+            }
+            Ok(out)
+        })
+        .collect()
+}
+
+/// True when the index search can serve `key`: its T-occurrence bound is
+/// at least one. Keys below that are Fig 14's corner case, which the
+/// search answers with no candidates (plans route them to a scan).
+fn index_serves(key: &Value, measure: &SearchMeasure) -> bool {
+    match measure {
+        SearchMeasure::Jaccard { delta } => {
+            jaccard_t_bound(index_tokens(IndexKind::Keyword, key).len(), *delta) > 0
+        }
+        SearchMeasure::EditDistance { k } => {
+            key.as_str().is_some()
+                && edit_distance_t_bound(index_tokens(IndexKind::NGram(2), key).len(), *k, 2) > 0
+        }
+        _ => true,
+    }
+}
+
+/// Run `job` and require the reference answer: the same rows in the same
+/// order when `ordered`, the same multiset otherwise. A reference error
+/// must be a job error.
+fn assert_reference(
+    job: &JobSpec,
+    ctx: &ClusterContext,
+    expected: &Result<Vec<Tuple>, String>,
+    ordered: bool,
+) {
+    let got = run_job_with(job, ctx, &JobOptions::default()).map(|(rows, _)| rows);
+    match (expected, got) {
+        (Ok(want), Ok(rows)) if ordered => assert_eq!(&rows, want),
+        (Ok(want), Ok(rows)) => {
+            let key = |t: &Tuple| format!("{t:?}");
+            let mut want: Vec<String> = want.iter().map(key).collect();
+            let mut rows: Vec<String> = rows.iter().map(key).collect();
+            want.sort();
+            rows.sort();
+            assert_eq!(rows, want);
+        }
+        (Err(_), Err(_)) => {}
+        (want, got) => panic!("expected {want:?}, got {got:?}"),
+    }
 }
 
 fn rows_strategy(max_rows: usize) -> impl Strategy<Value = Vec<(i64, String, String)>> {
@@ -275,7 +323,8 @@ proptest! {
                 delta,
             ),
         };
-        assert_parity(&scan_select_job(predicate), &ctx);
+        let expected = reference_filter(&dataset_rows(&rows), &predicate);
+        assert_reference(&scan_select_job(predicate), &ctx, &expected, partitions == 1);
     }
 
     #[test]
@@ -287,8 +336,8 @@ proptest! {
         k in 0i64..=2,
     ) {
         let ctx = cluster(partitions, &rows);
-        let job = if use_ed {
-            index_select_job(
+        let (query, measure, verify) = if use_ed {
+            (
                 "marla",
                 SearchMeasure::EditDistance { k: k as u32 },
                 Expr::call(
@@ -297,13 +346,24 @@ proptest! {
                 ),
             )
         } else {
-            index_select_job(
+            (
                 "great product fantastic gift",
                 SearchMeasure::Jaccard { delta },
                 jaccard_verify(Expr::col(0), Expr::col(2).field("summary"), delta),
             )
         };
-        assert_parity(&job, &ctx);
+        // `[query, pk, rec]` for every record, as the lookup emits them.
+        let key = Value::from(query);
+        let candidates: Vec<Tuple> = if index_serves(&key, &measure) {
+            dataset_rows(&rows)
+                .into_iter()
+                .map(|r| std::iter::once(key.clone()).chain(r).collect())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let expected = reference_filter(&candidates, &verify);
+        assert_reference(&index_select_job(query, measure, verify.clone()), &ctx, &expected, false);
     }
 
     #[test]
@@ -315,8 +375,8 @@ proptest! {
         k in 0i64..=2,
     ) {
         let ctx = cluster(partitions, &rows);
-        let job = if use_ed {
-            index_join_job(
+        let (field, measure, verify) = if use_ed {
+            (
                 "name",
                 SearchMeasure::EditDistance { k: k as u32 },
                 Expr::call(
@@ -325,13 +385,21 @@ proptest! {
                 ),
             )
         } else {
-            index_join_job(
+            (
                 "summary",
                 SearchMeasure::Jaccard { delta },
                 jaccard_verify(Expr::col(2), Expr::col(4).field("summary"), delta),
             )
         };
-        assert_parity(&job, &ctx);
+        // Nested loops over `[pk, rec, key]` outer rows the index serves.
+        let data = dataset_rows(&rows);
+        let outer: Vec<Tuple> = reference_assign(&data, &[Expr::col(1).field(field)])
+            .unwrap()
+            .into_iter()
+            .filter(|r| index_serves(&r[2], &measure))
+            .collect();
+        let expected = reference_nl_join(&outer, &data, &verify);
+        assert_reference(&index_join_job(field, measure, verify.clone()), &ctx, &expected, false);
     }
 }
 
@@ -408,6 +476,68 @@ fn group_by_job(keys: Vec<usize>, aggs: Vec<AggSpec>) -> JobSpec {
     job
 }
 
+/// The group-by's input as `group_by_job` assigns it:
+/// `[pk, rec, score, w, name, tags]`.
+fn group_by_input(rows: &[(i64, String, String)]) -> Vec<Tuple> {
+    let exprs: Vec<Expr> = ["score", "w", "name", "tags"]
+        .iter()
+        .map(|f| Expr::col(1).field(*f))
+        .collect();
+    reference_assign(&dataset_rows(rows), &exprs).unwrap()
+}
+
+/// Group `rows` on `keys` (`Value` equality) with a fold in a `BTreeMap`:
+/// one `keys ++ aggregates` row per group.
+fn reference_group_by(rows: &[Tuple], keys: &[usize], aggs: &[AggSpec]) -> Vec<Tuple> {
+    let mut groups: BTreeMap<Vec<Value>, Vec<&Tuple>> = BTreeMap::new();
+    for r in rows {
+        groups
+            .entry(keys.iter().map(|&k| r[k].clone()).collect())
+            .or_default()
+            .push(r);
+    }
+    let known = |members: &[&Tuple], c: usize| -> Vec<Value> {
+        members
+            .iter()
+            .map(|r| r[c].clone())
+            .filter(|v| !v.is_unknown())
+            .collect()
+    };
+    groups
+        .into_iter()
+        .map(|(mut out, members)| {
+            for agg in aggs {
+                out.push(match *agg {
+                    AggSpec::Count => Value::Int64(members.len() as i64),
+                    AggSpec::Sum(c) => {
+                        let nums: Vec<&Value> = members
+                            .iter()
+                            .map(|r| &r[c])
+                            .filter(|v| v.as_f64().is_some())
+                            .collect();
+                        let sum: f64 = nums.iter().filter_map(|v| v.as_f64()).sum();
+                        if nums.iter().all(|v| matches!(v, Value::Int64(_))) {
+                            Value::Int64(sum as i64)
+                        } else {
+                            Value::double(sum)
+                        }
+                    }
+                    AggSpec::Min(c) => known(&members, c).into_iter().min().unwrap_or(Value::Null),
+                    AggSpec::Max(c) => known(&members, c).into_iter().max().unwrap_or(Value::Null),
+                    AggSpec::First(c) => members[0][c].clone(),
+                    AggSpec::CollectSortedSet(c) => {
+                        let mut items: Vec<Value> = members.iter().map(|r| r[c].clone()).collect();
+                        items.sort();
+                        items.dedup();
+                        Value::OrderedList(items)
+                    }
+                });
+            }
+            out
+        })
+        .collect()
+}
+
 /// Fig 12 stage 1, the token ranking: scan → unnest `word-tokens` →
 /// hash(token) → group-by count → `ToOne` sort by (count, token) →
 /// stream-pos (the rank). Returns the stream-pos operator.
@@ -462,7 +592,28 @@ proptest! {
             // Never a list.
             _ => Expr::col(1).field("name"),
         };
-        assert_parity(&unnest_job(expr, with_pos, rehash), &ctx);
+        // A flat-map: one row per list item, none for a non-list.
+        let reg = FunctionRegistry::with_builtins();
+        let mut expected = Vec::new();
+        for r in dataset_rows(&rows) {
+            let items = match expr.eval(&r, &reg).unwrap() {
+                Value::OrderedList(l) | Value::UnorderedList(l) => l,
+                _ => continue,
+            };
+            for (i, item) in items.into_iter().enumerate() {
+                let mut out = r.clone();
+                out.push(item);
+                if with_pos {
+                    out.push(Value::Int64(i as i64));
+                }
+                if rehash {
+                    let cols: &[usize] = if with_pos { &[2, 3, 0] } else { &[2, 0] };
+                    out = cols.iter().map(|&c| out[c].clone()).collect();
+                }
+                expected.push(out);
+            }
+        }
+        assert_reference(&unnest_job(expr, with_pos, rehash), &ctx, &Ok(expected), false);
     }
 
     #[test]
@@ -481,7 +632,20 @@ proptest! {
             // Strings against lists, strings and missing values.
             _ => &["tags"],
         };
-        assert_parity(&hash_join_job(fields), &ctx);
+        // Nested loops on keys equal under SQL comparison.
+        let exprs: Vec<Expr> = fields.iter().map(|f| Expr::col(1).field(*f)).collect();
+        let side = reference_assign(&dataset_rows(&rows), &exprs).unwrap();
+        let keys = 2..2 + fields.len();
+        let mut expected = Vec::new();
+        for r in &side {
+            for l in &side {
+                let equal = |k: usize| sql_compare(&l[k], &r[k]) == Some(Ordering::Equal);
+                if keys.clone().all(equal) {
+                    expected.push(l.iter().chain(r).cloned().collect());
+                }
+            }
+        }
+        assert_reference(&hash_join_job(fields), &ctx, &Ok(expected), false);
     }
 
     #[test]
@@ -491,9 +655,8 @@ proptest! {
         key in prop::sample::select(vec![vec![2usize], vec![4], vec![2, 4], vec![]]),
     ) {
         let ctx = cluster(partitions, &rows);
-        // Columns: 2 score, 3 w, 4 name, 5 tags. `First` reads a key column
-        // (or nothing varying) so arrival order cannot change its answer.
-        let aggs = vec![
+        // Columns: 2 score, 3 w, 4 name, 5 tags.
+        let mut aggs = vec![
             AggSpec::Count,
             AggSpec::Sum(3),
             AggSpec::Sum(2),
@@ -501,11 +664,15 @@ proptest! {
             AggSpec::Max(3),
             AggSpec::Min(2),
             AggSpec::Max(5),
-            AggSpec::First(key.first().copied().unwrap_or(0)),
             AggSpec::CollectSortedSet(4),
             AggSpec::CollectSortedSet(5),
         ];
-        assert_parity(&group_by_job(key, aggs), &ctx);
+        // `First` answers with the first row to arrive, and rows from
+        // several partitions arrive in no fixed order: it reads a key
+        // column, equal across its group, or is left out.
+        aggs.extend(key.first().map(|&k| AggSpec::First(k)));
+        let expected = reference_group_by(&group_by_input(&rows), &key, &aggs);
+        assert_reference(&group_by_job(key, aggs), &ctx, &Ok(expected), false);
     }
 
     #[test]
@@ -528,7 +695,20 @@ proptest! {
         job.connect(scan, sort, 0, ConnectorKind::ToOne);
         job.pipe(sort, rank);
         job.connect(rank, sink, 0, ConnectorKind::ToOne);
-        assert_parity(&job, &ctx);
+        // The sorted rows, enumerated.
+        let mut sorted = dataset_rows(&rows);
+        if desc {
+            sorted.reverse();
+        }
+        let expected = sorted
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut r)| {
+                r.push(Value::Int64(i as i64));
+                r
+            })
+            .collect();
+        assert_reference(&job, &ctx, &Ok(expected), true);
     }
 
     #[test]
@@ -537,46 +717,25 @@ proptest! {
         partitions in 1usize..=3,
     ) {
         let ctx = cluster(partitions, &rows);
-        assert_parity(&token_rank_job(), &ctx);
-    }
-}
-
-/// In a batched run the three-stage join operators emit batch frames only:
-/// none of them converts its output back to rows.
-#[test]
-fn three_stage_operators_emit_batches() {
-    let rows: Vec<(i64, String, String)> = (1..=40)
-        .map(|i| {
-            (
-                i,
-                NAMES[i as usize % NAMES.len()].to_string(),
-                format!("{} {}", WORDS[i as usize % WORDS.len()], WORDS[i as usize % 5]),
-            )
-        })
-        .collect();
-    let ctx = cluster(2, &rows);
-    // The ranks feed a self hash join on the token, as stage 2 joins
-    // ranked tokens.
-    let mut job = JobSpec::new();
-    let rank = token_rank(&mut job);
-    let join = job.add(PhysicalOp::HashJoin {
-        left_keys: vec![0],
-        right_keys: vec![0],
-    });
-    let sink = job.add(PhysicalOp::ResultSink);
-    job.connect(rank, join, 0, ConnectorKind::Hash(vec![0]));
-    job.connect(rank, join, 1, ConnectorKind::Hash(vec![0]));
-    job.connect(join, sink, 0, ConnectorKind::ToOne);
-    let (_, stats) = run_job_with(&job, &ctx, &JobOptions::default()).expect("batched run");
-    for s in stats.per_op.values() {
-        if matches!(s.name, "unnest" | "hash-group-by" | "stream-pos" | "hash-join") {
-            assert!(s.output_tuples > 0, "{} emitted nothing", s.name);
-            assert_eq!(
-                s.frames_emitted, s.batch_frames_emitted,
-                "{} emitted row frames",
-                s.name
-            );
+        // Token counts, sorted by (count, token), enumerated.
+        let tokens = Expr::call("word-tokens", vec![Expr::col(1).field("summary")]);
+        let reg = FunctionRegistry::with_builtins();
+        let mut counts: BTreeMap<Value, i64> = BTreeMap::new();
+        for r in dataset_rows(&rows) {
+            if let Value::OrderedList(l) = tokens.eval(&r, &reg).unwrap() {
+                for t in l {
+                    *counts.entry(t).or_default() += 1;
+                }
+            }
         }
+        let mut ranked: Vec<(i64, Value)> = counts.into_iter().map(|(t, n)| (n, t)).collect();
+        ranked.sort();
+        let expected = ranked
+            .into_iter()
+            .enumerate()
+            .map(|(i, (n, t))| vec![t, Value::Int64(n), Value::Int64(i as i64)])
+            .collect();
+        assert_reference(&token_rank_job(), &ctx, &Ok(expected), true);
     }
 }
 
@@ -596,22 +755,13 @@ fn tiny_ctx() -> ClusterContext {
 }
 
 fn expect_operator_error(job: &JobSpec, want_op: &str) {
-    for disable_batching in [false, true] {
-        let err = run_job_with(
-            job,
-            &tiny_ctx(),
-            &JobOptions {
-                disable_batching,
-                ..JobOptions::default()
-            },
-        )
+    let err = run_job_with(job, &tiny_ctx(), &JobOptions::default())
         .expect_err("malformed plan must fail");
-        match err {
-            ExecError::Operator { ref op, .. } => {
-                assert!(op.contains(want_op), "wrong operator blamed: {err}")
-            }
-            other => panic!("expected typed operator error, got {other:?}"),
+    match err {
+        ExecError::Operator { ref op, .. } => {
+            assert!(op.contains(want_op), "wrong operator blamed: {err}")
         }
+        other => panic!("expected typed operator error, got {other:?}"),
     }
 }
 
@@ -769,82 +919,6 @@ fn unnest_expression_column_out_of_bounds_is_typed() {
     job.pipe(scan, unnest);
     job.connect(unnest, sink, 0, ConnectorKind::ToOne);
     expect_operator_error(&job, "unnest");
-}
-
-// ---------------------------------------------------------------------------
-// Reference tests: both `disable_batching` settings run the same operator
-// bodies, so parity alone no longer compares two implementations. These
-// compute the expected rows themselves, with the interpreter (`Expr::eval`)
-// over materialized rows, and require them under both settings.
-// ---------------------------------------------------------------------------
-
-/// The dataset as one partition's scan produces it: `[pk, rec]` in pk
-/// order.
-fn dataset_rows(rows: &[(i64, String, String)]) -> Vec<Tuple> {
-    rows.iter()
-        .map(|(id, name, summary)| vec![Value::Int64(*id), row_record(*id, name, summary)])
-        .collect()
-}
-
-/// The rows `pred` accepts by the interpreter; `Err` when it errors on any.
-fn reference_filter(rows: &[Tuple], pred: &Expr) -> Result<Vec<Tuple>, String> {
-    let reg = FunctionRegistry::with_builtins();
-    let mut out = Vec::new();
-    for r in rows {
-        if pred.eval(r, &reg)?.is_true() {
-            out.push(r.clone());
-        }
-    }
-    Ok(out)
-}
-
-/// `build ++ probe` pairs `pred` accepts, in probe order and build order
-/// within a probe row — the nested-loop join's contract.
-fn reference_nl_join(build: &[Tuple], probe: &[Tuple], pred: &Expr) -> Result<Vec<Tuple>, String> {
-    let pairs: Vec<Tuple> = probe
-        .iter()
-        .flat_map(|p| build.iter().map(move |b| b.iter().chain(p).cloned().collect()))
-        .collect();
-    reference_filter(&pairs, pred)
-}
-
-/// Run `job` under both `disable_batching` settings and require the
-/// reference answer: the same rows in the same order when `ordered`, the
-/// same multiset otherwise. A reference error must be a job error.
-fn assert_reference(
-    job: &JobSpec,
-    ctx: &ClusterContext,
-    expected: &Result<Vec<Tuple>, String>,
-    ordered: bool,
-) {
-    for disable_batching in [false, true] {
-        let got = run_job_with(
-            job,
-            ctx,
-            &JobOptions {
-                disable_batching,
-                ..JobOptions::default()
-            },
-        )
-        .map(|(rows, _)| rows);
-        match (expected, got) {
-            (Ok(want), Ok(rows)) if ordered => {
-                assert_eq!(&rows, want, "disable_batching={disable_batching}")
-            }
-            (Ok(want), Ok(rows)) => {
-                let key = |t: &Tuple| format!("{t:?}");
-                let mut want: Vec<String> = want.iter().map(key).collect();
-                let mut rows: Vec<String> = rows.iter().map(key).collect();
-                want.sort();
-                rows.sort();
-                assert_eq!(rows, want, "disable_batching={disable_batching}");
-            }
-            (Err(_), Err(_)) => {}
-            (want, got) => {
-                panic!("disable_batching={disable_batching}: expected {want:?}, got {got:?}")
-            }
-        }
-    }
 }
 
 /// `scan → select(filter)`.
@@ -1016,26 +1090,23 @@ proptest! {
 
         // On its own partition it fails, having forwarded at most
         // `after_tuples` rows: a prefix of the input.
-        for disable_batching in [false, true] {
-            let delivered = Arc::new(std::sync::Mutex::new(Vec::<Tuple>::new()));
-            let sink_rows = Arc::clone(&delivered);
-            let err = run_job_with(
-                &fault_job(0),
-                &ctx,
-                &JobOptions {
-                    disable_batching,
-                    result_sink: Some(asterix_hyracks::ResultSink::new(move |rows| {
-                        sink_rows.lock().unwrap().extend(rows);
-                        Ok(())
-                    })),
-                    ..JobOptions::default()
-                },
-            );
-            prop_assert!(err.is_err(), "fault-inject did not fail");
-            let delivered = delivered.lock().unwrap();
-            prop_assert!(delivered.len() as u64 <= after);
-            prop_assert_eq!(&delivered[..], &kept[..delivered.len()]);
-        }
+        let delivered = Arc::new(std::sync::Mutex::new(Vec::<Tuple>::new()));
+        let sink_rows = Arc::clone(&delivered);
+        let err = run_job_with(
+            &fault_job(0),
+            &ctx,
+            &JobOptions {
+                result_sink: Some(asterix_hyracks::ResultSink::new(move |rows| {
+                    sink_rows.lock().unwrap().extend(rows);
+                    Ok(())
+                })),
+                ..JobOptions::default()
+            },
+        );
+        prop_assert!(err.is_err(), "fault-inject did not fail");
+        let delivered = delivered.lock().unwrap();
+        prop_assert!(delivered.len() as u64 <= after);
+        prop_assert_eq!(&delivered[..], &kept[..delivered.len()]);
     }
 
     #[test]
@@ -1046,8 +1117,7 @@ proptest! {
         desc in any::<bool>(),
     ) {
         // Rows up to `cut` arrive as `[pk, rec]`, the rest as
-        // `[pk, rec, name]`: the sort sees frames (or, as rows, one ragged
-        // frame) of two widths.
+        // `[pk, rec, name]`: the sort sees frames of two widths.
         let ctx = cluster(partitions, &rows);
         let mut job = JobSpec::new();
         let narrow = scan_select(&mut job, pk_at_most(cut));

@@ -72,8 +72,9 @@ pub fn edit_distance_check_chars(a: &[char], b: &[char], k: u32, scratch: &mut E
 }
 
 /// [`edit_distance_check_chars`] pinned to the scalar banded DP — the
-/// pre-bit-parallel behaviour. The `disable_kernels` switch routes verify
-/// loops here, and the equivalence proptests compare the two entry points.
+/// pre-bit-parallel behaviour. It is the oracle of the equivalence
+/// proptests, which compare the two entry points, and of the verify
+/// kernels compiled without bit-parallel dispatch.
 pub fn edit_distance_check_chars_scalar(
     a: &[char],
     b: &[char],

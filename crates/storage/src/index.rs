@@ -699,12 +699,6 @@ impl InvertedIndex {
         Ok(list)
     }
 
-    /// The inverted list of one token: sorted primary keys (owned copy;
-    /// hot paths should prefer [`InvertedIndex::postings_shared`]).
-    pub fn postings(&self, token: &Value) -> Result<Vec<Value>, IoError> {
-        Ok(self.postings_shared(token)?.to_vec())
-    }
-
     /// Solve the T-occurrence problem for a set of query tokens: primary
     /// keys appearing on at least `t` of the tokens' inverted lists
     /// (candidates, possibly with false positives — §2.2). `t >= 1`.
@@ -735,13 +729,6 @@ impl InvertedIndex {
     /// returns the identical candidate list (same order); falls back to
     /// the scalar path whenever the postings cache is disabled or the
     /// memory budget refuses the rank arrays.
-    pub fn t_occurrence_ranked(&self, tokens: &[Value], t: usize) -> Result<Vec<Value>, IoError> {
-        self.t_occurrence_ranked_opts(tokens, t, true)
-    }
-
-    /// [`InvertedIndex::t_occurrence_ranked`] with the full-intersection
-    /// fast path switchable (`use_intersect = false` reproduces the
-    /// pre-kernel behaviour; the executor wires `disable_kernels` here).
     ///
     /// When `T` equals the number of query tokens — the usual shape for
     /// high Jaccard thresholds, where `ceil(δ·|q|) == |q|` for short
@@ -753,12 +740,7 @@ impl InvertedIndex {
     /// set and order are unchanged: in this regime every survivor appears
     /// on the first (sorted) list, so ScanCount's first-encounter order is
     /// already ascending-pk order.
-    pub fn t_occurrence_ranked_opts(
-        &self,
-        tokens: &[Value],
-        t: usize,
-        use_intersect: bool,
-    ) -> Result<Vec<Value>, IoError> {
+    pub fn t_occurrence_ranked(&self, tokens: &[Value], t: usize) -> Result<Vec<Value>, IoError> {
         if self.postings_cache.capacity == 0 {
             return self.t_occurrence(tokens, t);
         }
@@ -769,7 +751,7 @@ impl InvertedIndex {
             .map(|tok| self.postings_shared(tok))
             .collect::<Result<_, _>>()?;
         let refs: Vec<&[Value]> = lists.iter().map(|l| &**l).collect();
-        if use_intersect && t > 1 && t == refs.len() {
+        if t > 1 && t == refs.len() {
             let candidates = INTERSECT_SCRATCH.with(|s| {
                 let mut scratch = s.borrow_mut();
                 let before = scratch.gallop_probes();
@@ -959,6 +941,38 @@ mod tests {
         assert_eq!(p.len().unwrap(), 1);
     }
 
+    /// One sorted multi-get touches no more buffer-cache pages than
+    /// per-key point gets of the same keys, and returns the same records.
+    #[test]
+    fn sorted_multi_get_touches_no_more_pages_than_point_gets() {
+        let mut p = PrimaryIndex::new(cache(), StorageConfig::tiny());
+        for i in 0..400i64 {
+            let rec = record! {"id" => i, "pad" => "x".repeat(40)};
+            p.insert(Value::Int64(i), &rec).unwrap();
+            if i % 100 == 99 {
+                p.flush().unwrap();
+            }
+        }
+        let keys: Vec<Value> = (0..400i64).step_by(3).map(Value::Int64).collect();
+        let pages = |lookup: &dyn Fn() -> Vec<Option<Value>>| {
+            let counters = crate::profile::QueryCounters::handle();
+            let scope = counters.enter();
+            let records = lookup();
+            drop(scope);
+            let s = counters.snapshot();
+            (records, s.cache_hits + s.cache_misses)
+        };
+        let (point, point_pages) = pages(&|| keys.iter().map(|k| p.get(k).unwrap()).collect());
+        let (batched, batched_pages) = pages(&|| p.get_many_sorted(&keys).unwrap());
+        assert_eq!(batched, point);
+        assert!(point.iter().all(Option::is_some));
+        assert!(point_pages > 0);
+        assert!(
+            batched_pages <= point_pages,
+            "multi-get read {batched_pages} pages, point gets {point_pages}"
+        );
+    }
+
     #[test]
     fn primary_scan_ordered() {
         let mut p = PrimaryIndex::new(cache(), StorageConfig::tiny());
@@ -1111,15 +1125,15 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            idx.postings(&Value::from("great")).unwrap(),
+            &*idx.postings_shared(&Value::from("great")).unwrap(),
             vec![Value::Int64(1), Value::Int64(2)]
         );
         assert_eq!(
-            idx.postings(&Value::from("value")).unwrap(),
+            &*idx.postings_shared(&Value::from("value")).unwrap(),
             vec![Value::Int64(1)]
         );
         assert_eq!(
-            idx.postings(&Value::from("absent")).unwrap(),
+            &*idx.postings_shared(&Value::from("absent")).unwrap(),
             Vec::<Value>::new()
         );
     }
@@ -1146,15 +1160,15 @@ mod tests {
         }
         // Fig 2: list("ma") = {2, 3, 5}; list("ja") = {1, 4}; list("am") = {1, 4}.
         assert_eq!(
-            idx.postings(&Value::from("ma")).unwrap(),
+            &*idx.postings_shared(&Value::from("ma")).unwrap(),
             vec![Value::Int64(2), Value::Int64(3), Value::Int64(5)]
         );
         assert_eq!(
-            idx.postings(&Value::from("ja")).unwrap(),
+            &*idx.postings_shared(&Value::from("ja")).unwrap(),
             vec![Value::Int64(1), Value::Int64(4)]
         );
         assert_eq!(
-            idx.postings(&Value::from("am")).unwrap(),
+            &*idx.postings_shared(&Value::from("am")).unwrap(),
             vec![Value::Int64(1), Value::Int64(4)]
         );
     }
@@ -1284,11 +1298,11 @@ mod tests {
         ]);
         idx.insert(&rec, &Value::Int64(1)).unwrap();
         assert_eq!(
-            idx.postings(&Value::from("a")).unwrap(),
+            &*idx.postings_shared(&Value::from("a")).unwrap(),
             vec![Value::Int64(1)]
         );
         assert_eq!(
-            idx.postings(&Value::from("b")).unwrap(),
+            &*idx.postings_shared(&Value::from("b")).unwrap(),
             vec![Value::Int64(1)]
         );
         // Duplicates collapsed: 2 distinct tokens total.
@@ -1307,7 +1321,7 @@ mod tests {
         idx.insert(&rec, &Value::Int64(1)).unwrap();
         idx.delete(&rec, &Value::Int64(1)).unwrap();
         assert_eq!(
-            idx.postings(&Value::from("hello")).unwrap(),
+            &*idx.postings_shared(&Value::from("hello")).unwrap(),
             Vec::<Value>::new()
         );
     }
@@ -1357,7 +1371,7 @@ mod tests {
     fn postings_cache_invalidated_by_insert() {
         let mut idx = keyword_index();
         assert_eq!(
-            idx.postings(&Value::from("great")).unwrap(),
+            &*idx.postings_shared(&Value::from("great")).unwrap(),
             vec![Value::Int64(1), Value::Int64(2)]
         );
         idx.insert(
@@ -1366,7 +1380,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            idx.postings(&Value::from("great")).unwrap(),
+            &*idx.postings_shared(&Value::from("great")).unwrap(),
             vec![Value::Int64(1), Value::Int64(2), Value::Int64(4)]
         );
     }
@@ -1375,7 +1389,7 @@ mod tests {
     fn postings_cache_invalidated_by_delete() {
         let mut idx = keyword_index();
         assert_eq!(
-            idx.postings(&Value::from("product")).unwrap(),
+            &*idx.postings_shared(&Value::from("product")).unwrap(),
             vec![Value::Int64(1), Value::Int64(3)]
         );
         idx.delete(
@@ -1384,7 +1398,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            idx.postings(&Value::from("product")).unwrap(),
+            &*idx.postings_shared(&Value::from("product")).unwrap(),
             vec![Value::Int64(3)]
         );
     }
@@ -1423,11 +1437,11 @@ mod tests {
         ));
         assert_eq!(counters.snapshot().inverted_elements_read, 0);
         assert_eq!(
-            idx.postings(&Value::from("gift")).unwrap(),
+            &*idx.postings_shared(&Value::from("gift")).unwrap(),
             Vec::<Value>::new()
         );
         assert_eq!(
-            idx.postings(&Value::from("great")).unwrap(),
+            &*idx.postings_shared(&Value::from("great")).unwrap(),
             vec![Value::Int64(1)]
         );
     }
@@ -1502,12 +1516,15 @@ mod tests {
         for _ in 0..2 {
             for id in 0..8i64 {
                 assert_eq!(
-                    idx.postings(&Value::from(format!("tok{id}"))).unwrap(),
+                    &*idx
+                        .postings_shared(&Value::from(format!("tok{id}")))
+                        .unwrap(),
                     vec![Value::Int64(id)]
                 );
             }
         }
-        assert_eq!(idx.postings(&Value::from("shared")).unwrap().len(), 8);
+        let shared = idx.postings_shared(&Value::from("shared")).unwrap();
+        assert_eq!(shared.len(), 8);
     }
 
     #[test]
@@ -1524,7 +1541,7 @@ mod tests {
         let _scope = counters.enter();
         for _ in 0..3 {
             assert_eq!(
-                idx.postings(&Value::from("hello")).unwrap(),
+                &*idx.postings_shared(&Value::from("hello")).unwrap(),
                 vec![Value::Int64(1)]
             );
         }

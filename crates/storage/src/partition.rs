@@ -399,6 +399,9 @@ impl PartitionStore {
 
     /// T-occurrence candidate search against a named inverted index:
     /// sorted primary keys of records sharing at least `t` query tokens.
+    /// Runs [`InvertedIndex::t_occurrence_ranked`]: interned rank arrays
+    /// counted by the rank kernels, or a galloping intersection when all
+    /// `t` tokens must match.
     pub fn inverted_candidates(
         &self,
         index_name: &str,
@@ -414,44 +417,7 @@ impl PartitionStore {
                     "no inverted index named '{index_name}'"
                 )))
             })?;
-        Ok(idx.t_occurrence(tokens, t)?)
-    }
-
-    /// [`PartitionStore::inverted_candidates`] through the vectorized
-    /// rank-array path: postings are interned to `Arc<[u32]>` dense-rank
-    /// arrays and counted with the rank kernels (same candidates, same
-    /// order; falls back to the scalar merge when the postings cache is
-    /// disabled or the memory budget refuses the rank arrays).
-    pub fn inverted_candidates_ranked(
-        &self,
-        index_name: &str,
-        tokens: &[Value],
-        t: usize,
-    ) -> Result<Vec<Value>, StorageError> {
-        self.inverted_candidates_ranked_opts(index_name, tokens, t, true)
-    }
-
-    /// [`PartitionStore::inverted_candidates_ranked`] with the
-    /// full-intersection gallop fast path switchable — `use_kernels =
-    /// false` pins the pre-kernel rank/count merge (the executor's
-    /// `disable_kernels` flag lands here).
-    pub fn inverted_candidates_ranked_opts(
-        &self,
-        index_name: &str,
-        tokens: &[Value],
-        t: usize,
-        use_kernels: bool,
-    ) -> Result<Vec<Value>, StorageError> {
-        let idx = self
-            .secondaries
-            .get(index_name)
-            .and_then(SecondaryIndex::as_inverted)
-            .ok_or_else(|| {
-                StorageError::Adm(AdmError::Schema(format!(
-                    "no inverted index named '{index_name}'"
-                )))
-            })?;
-        Ok(idx.t_occurrence_ranked_opts(tokens, t, use_kernels)?)
+        Ok(idx.t_occurrence_ranked(tokens, t)?)
     }
 
     /// Exact-match candidate lookup against a named B+-tree index.

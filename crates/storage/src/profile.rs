@@ -15,7 +15,7 @@
 //!
 //! * [`crate::cache::BufferCache::get`] / `get_decoded` — hits, misses,
 //!   evictions,
-//! * [`crate::index::InvertedIndex::postings`] — inverted-list elements
+//! * [`crate::index::InvertedIndex::postings_shared`] — inverted-list elements
 //!   read (Fig 14's list-scan volume; *cache hits do not re-count* — only
 //!   actual LSM scans add here) plus postings-cache hits/misses,
 //! * [`crate::index::InvertedIndex::t_occurrence`] — candidates emitted

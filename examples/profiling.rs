@@ -28,7 +28,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let profiled = QueryOptions {
         profile: true,
-        disable_hotpath: false,
         ..QueryOptions::default()
     };
 

@@ -15,9 +15,9 @@ fn profiled() -> QueryOptions {
     }
 }
 
-/// The full baseline: postings cache still on (it is a storage-layer
-/// setting), but per-tuple operators and no compile-time tokenization.
-fn profiled_baseline() -> QueryOptions {
+/// The same index plans with the probe tokenized at run time instead of
+/// at compile time.
+fn profiled_runtime_tokens() -> QueryOptions {
     let cfg = OptimizerConfig {
         pre_tokenize: false,
         ..OptimizerConfig::default()
@@ -25,7 +25,6 @@ fn profiled_baseline() -> QueryOptions {
     QueryOptions {
         optimizer: Some(cfg),
         profile: true,
-        disable_hotpath: true,
         ..QueryOptions::default()
     }
 }
@@ -111,30 +110,43 @@ fn index_with_cache_matches_scan() {
 }
 
 /// The hot path (batched lookups + token memoization + pre-tokenization)
-/// must return exactly what the per-tuple baseline returns.
+/// must return exactly what a scan plan returns, find the same candidates
+/// whether the probe is tokenized at compile time or at run time, and
+/// look up no more primary keys than T-occurrence produced candidates
+/// (the sorted multi-get dedups repeated keys inside a frame).
 #[test]
 fn hotpath_matches_per_tuple_baseline() {
     let db = setup(300);
     for q in [jaccard_query(), ed_query(), join_query()] {
-        let base = db.query_with(&q, &profiled_baseline()).unwrap();
+        let scanned = db.query_with(&q, &scan_only()).unwrap();
+        let runtime = db.query_with(&q, &profiled_runtime_tokens()).unwrap();
         let fast = db.query_with(&q, &profiled()).unwrap();
-        let mut a = base.rows;
+        let mut a = scanned.rows;
         let mut b = fast.rows;
         a.sort();
         b.sort();
         assert_eq!(a, b, "hot path changed results of {q}");
-        // Both took index plans, so both did primary lookups; the batched
-        // path dedups repeated keys inside a frame, so it may issue
-        // fewer lookups than the per-tuple path — never more.
-        let bp = base.profile.unwrap();
+        let rp = runtime.profile.unwrap();
         let fp = fast.profile.unwrap();
-        assert!(fp.index_search.primary_lookups > 0);
-        assert!(fp.index_search.primary_lookups <= bp.index_search.primary_lookups);
         assert_eq!(
-            bp.index_search.toccurrence_candidates,
-            fp.index_search.toccurrence_candidates
+            fp.index_search.toccurrence_candidates,
+            rp.index_search.toccurrence_candidates
         );
+        assert!(fp.index_search.primary_lookups > 0);
+        assert!(fp.index_search.primary_lookups <= fp.index_search.toccurrence_candidates);
     }
+}
+
+/// The similarity kernels actually run on the default path: the δ 0.8
+/// Jaccard join's all-tokens T-occurrence probes gallop, and the
+/// edit-distance selection verifies with the bit-parallel kernel.
+#[test]
+fn default_path_runs_gallop_and_bitparallel_kernels() {
+    let db = setup(300);
+    let join = db.query_with(&join_query(), &profiled()).unwrap();
+    assert!(join.profile.unwrap().kernels.gallop_probes > 0);
+    let ed = db.query_with(&ed_query(), &profiled()).unwrap();
+    assert!(ed.profile.unwrap().kernels.bitparallel_ed_calls > 0);
 }
 
 /// A warmed postings cache serves repeat queries without re-reading any

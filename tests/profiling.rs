@@ -11,7 +11,6 @@ use asterix_datagen::amazon_reviews;
 fn profiled() -> QueryOptions {
     QueryOptions {
         profile: true,
-        disable_hotpath: false,
         ..QueryOptions::default()
     }
 }

@@ -7,74 +7,22 @@
 //! 1. The pooled executor returns byte-identical results to the seed
 //!    per-query-thread executor for the whole query-class matrix (scan,
 //!    index select, index-nested-loop join, three-stage join).
-//! 2. Thread usage under saturation is bounded by `workers` + the client
-//!    threads + a small constant — not client × operators × partitions.
+//! 2. Thread usage under saturation is bounded (pinned in
+//!    `scheduler_threads.rs`, a binary of its own).
 //! 3. Admission failures are *typed*: `AdmissionTimeout` for a deadline
 //!    expiring in the queue, `QueueFull` for arrivals past `queue_depth`,
 //!    `MemoryBudgetExceeded` for budget trips — never panics or hangs.
 //! 4. A query cancelled while still queued releases its queue slot and is
 //!    recorded as `cancelled` (not `failed`) in the telemetry registry.
 
+mod scheduler_support;
+
 use asterix_core::{
     CoreError, Instance, InstanceConfig, QueryOptions, SchedulerConfig,
 };
-use asterix_datagen::amazon_reviews;
 use asterix_hyracks::ExecError;
+use scheduler_support::{instance_with, matrix};
 use std::time::{Duration, Instant};
-
-const RECORDS: usize = 600;
-
-fn instance_with(sched: SchedulerConfig) -> Instance {
-    let mut cfg = InstanceConfig::with_partitions(2);
-    cfg.scheduler = sched;
-    let db = Instance::new(cfg);
-    db.create_dataset("ARevs", "id").unwrap();
-    db.load("ARevs", amazon_reviews(RECORDS, 7)).unwrap();
-    db.create_index("ARevs", "smix", "summary", asterix_adm::IndexKind::Keyword)
-        .unwrap();
-    db.create_index("ARevs", "nix", "reviewerName", asterix_adm::IndexKind::NGram(2))
-        .unwrap();
-    db.flush("ARevs").unwrap();
-    db
-}
-
-/// The query-class matrix: scan, index select (jaccard + edit distance),
-/// index-nested-loop join, and the three-stage (no-index) join fallback.
-fn matrix() -> Vec<(&'static str, String)> {
-    vec![
-        (
-            "scan",
-            "for $t in dataset ARevs where $t.id < 50 return $t.id".to_string(),
-        ),
-        (
-            "count",
-            "count( for $t in dataset ARevs where $t.id < 100 return $t.id );".to_string(),
-        ),
-        (
-            "jaccard-select",
-            "for $t in dataset ARevs \
-             where similarity-jaccard(word-tokens($t.summary), word-tokens('caho gonaha')) >= 0.3 \
-             return $t.id"
-                .to_string(),
-        ),
-        (
-            "ed-select",
-            "for $t in dataset ARevs \
-             where edit-distance($t.reviewerName, 'gubimo') <= 2 \
-             return $t.id"
-                .to_string(),
-        ),
-        (
-            "jaccard-join",
-            "for $o in dataset ARevs for $i in dataset ARevs \
-             where $o.id < 30 \
-               and similarity-jaccard(word-tokens($o.summary), word-tokens($i.summary)) >= 0.8 \
-               and $o.id < $i.id \
-             return {\"o\": $o.id, \"i\": $i.id}"
-                .to_string(),
-        ),
-    ]
-}
 
 #[test]
 fn pooled_results_match_unbounded_for_query_class_matrix() {
@@ -103,67 +51,6 @@ fn pooled_results_match_unbounded_for_query_class_matrix() {
             "{name}: both executors must run the same plan"
         );
     }
-}
-
-/// Current OS thread count (`/proc/self/status`, linux-only; 0 elsewhere).
-fn current_threads() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("Threads:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-#[test]
-fn saturated_pooled_instance_keeps_thread_count_bounded() {
-    if current_threads() == 0 {
-        return; // /proc/self/status unavailable on this platform
-    }
-    const CLIENTS: usize = 12;
-    let db = instance_with(SchedulerConfig {
-        queue_depth: 64,
-        ..SchedulerConfig::default()
-    });
-    let queries = matrix();
-    let base = current_threads();
-    let peak = std::sync::atomic::AtomicU64::new(base);
-    let done = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            use std::sync::atomic::Ordering;
-            while !done.load(Ordering::Relaxed) {
-                peak.fetch_max(current_threads(), Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
-        std::thread::scope(|inner| {
-            for _ in 0..CLIENTS {
-                inner.spawn(|| {
-                    for (name, q) in &queries {
-                        db.query(q).unwrap_or_else(|e| panic!("{name}: {e}"));
-                    }
-                });
-            }
-        });
-        done.store(true, std::sync::atomic::Ordering::Relaxed);
-    });
-    let peak = peak.load(std::sync::atomic::Ordering::Relaxed);
-    // Budget: the client threads themselves + the sampler + slack. The
-    // seed executor would add ~operators × partitions threads *per
-    // concurrent query* on top; the pool must not.
-    let budget = base + CLIENTS as u64 + 6;
-    assert!(
-        peak <= budget,
-        "peak {peak} threads > bound {budget} (base {base}, {CLIENTS} clients)"
-    );
-    let snap = db.metrics().gauges.scheduler;
-    assert!(snap.enabled);
-    assert_eq!(snap.rejected_queue_full + snap.rejected_timeout, 0);
-    assert!(snap.admitted >= (CLIENTS * queries.len()) as u64);
 }
 
 /// A UDF that sleeps per evaluated row — the occupier for admission tests.
