@@ -53,7 +53,6 @@ pub struct DatasetInfo {
 pub struct Workloads {
     pub db: Instance,
     pub datasets: Vec<DatasetInfo>,
-    pub config: WorkloadConfig,
 }
 
 impl Workloads {
@@ -90,11 +89,7 @@ impl Workloads {
                 records: config.twitter_records,
             },
         ];
-        Workloads {
-            db,
-            datasets,
-            config,
-        }
+        Workloads { db, datasets }
     }
 
     /// Just the Amazon dataset (most experiments, as in the paper).
@@ -109,11 +104,7 @@ impl Workloads {
             jac_field: "summary",
             records: config.amazon_records,
         }];
-        Workloads {
-            db,
-            datasets,
-            config,
-        }
+        Workloads { db, datasets }
     }
 
     /// Build the §6.2 similarity indexes on every dataset, returning the

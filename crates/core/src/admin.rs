@@ -1,8 +1,7 @@
-//! The admin HTTP endpoint: live introspection over plain TCP.
+//! The admin routes: live introspection of one [`Instance`].
 //!
-//! A dependency-free HTTP/1.1 server (`std::net::TcpListener`, one
-//! thread per connection, `Connection: close`) exposing the instance's
-//! observability surfaces:
+//! [`admin_response`] is the complete route table; `asterix-server`
+//! mounts it under `/admin/*`:
 //!
 //! | route | method | payload |
 //! |---|---|---|
@@ -16,80 +15,18 @@
 //! | `/trace/<id>` | GET | Chrome trace-event JSON of a slow-logged query (Perfetto-loadable) |
 //! | `/trace/recovery` | GET | Chrome trace-event JSON of the startup recovery pass |
 //!
-//! Request parsing is bounded by the shared [`crate::http`] foundation:
-//! request heads larger than 8 KiB are rejected with `431` before any
-//! allocation proportional to attacker input. The accept loop blocks in
-//! `accept()`; dropping the [`AdminServer`] wakes it with one loopback
-//! connect, so it shuts down promptly.
-//!
-//! The route dispatcher is exported as [`admin_response`] so other HTTP
-//! surfaces (the `asterix-server` query/ingest service) can mount the
-//! same introspection routes under a path prefix (`/admin/*`).
+//! Request parsing and its bounds belong to the server that mounts the
+//! table (the shared [`crate::http`] foundation).
 
-use crate::http::{HttpLimits, HttpServer, Response};
+use crate::http::Response;
 use crate::instance::Instance;
 use crate::registry::RunningQuery;
 use asterix_adm::Value;
-use std::net::SocketAddr;
-use std::sync::Arc;
-
-/// A running admin HTTP server bound to one [`Instance`].
-///
-/// Binds eagerly in [`AdminServer::start`] (so `127.0.0.1:0` port
-/// assignment is visible immediately via [`AdminServer::local_addr`])
-/// and serves until dropped.
-///
-/// ```
-/// use asterix_core::{AdminServer, Instance, InstanceConfig};
-/// use std::sync::Arc;
-///
-/// let db = Arc::new(Instance::new(InstanceConfig::default()));
-/// let admin = AdminServer::start(db, "127.0.0.1:0").unwrap();
-/// println!("admin endpoint at {}", admin.url());
-/// // ... curl http://<addr>/health, /metrics, /queries ...
-/// drop(admin); // unbinds promptly
-/// ```
-pub struct AdminServer {
-    server: HttpServer,
-}
-
-impl AdminServer {
-    /// Bind `addr` (e.g. `"127.0.0.1:7900"`, or port `0` for an
-    /// OS-assigned port) and start serving `instance`'s introspection
-    /// routes in a background thread.
-    pub fn start(instance: Arc<Instance>, addr: &str) -> std::io::Result<AdminServer> {
-        let limits = HttpLimits {
-            // The admin routes take no request bodies.
-            max_body_bytes: 4 * 1024,
-            ..HttpLimits::default()
-        };
-        let server = HttpServer::bind(addr, "asterix-admin", limits, move |req, _w| {
-            Some(admin_response(&instance, &req.method, req.route_path()))
-        })?;
-        Ok(AdminServer { server })
-    }
-
-    /// The bound socket address (resolves port `0` binds).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.server.local_addr()
-    }
-
-    /// The server's base URL, e.g. `http://127.0.0.1:7900`.
-    pub fn url(&self) -> String {
-        self.server.url()
-    }
-
-    /// Stop accepting connections and join the accept thread. Called
-    /// automatically on drop; idempotent.
-    pub fn shutdown(&mut self) {
-        self.server.shutdown();
-    }
-}
 
 /// Dispatch one admin request (path must already be stripped of any
 /// query string and of any mount prefix such as `/admin`). This is the
-/// complete admin route table; [`AdminServer`] serves it at the root
-/// and `asterix-server` mounts it under `/admin/*`.
+/// complete admin route table; `asterix-server` mounts it under
+/// `/admin/*`.
 pub fn admin_response(db: &Instance, method: &str, path: &str) -> Response {
     match (method, path) {
         ("GET", "/") => index_response(),
@@ -371,35 +308,23 @@ fn slow_response(db: &Instance) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoreError, InstanceConfig};
+    use crate::{CoreError, InstanceConfig, QueryOptions};
     use asterix_adm::record;
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
+    use std::sync::Arc;
     use std::thread;
     use std::time::Duration;
 
-    /// Minimal HTTP/1.1 client: send one request, read the whole
-    /// response, return `(status, body)`.
-    fn http(addr: SocketAddr, method: &str, path: &str) -> (u16, String) {
-        let mut stream = TcpStream::connect(addr).expect("connect admin");
-        let req = format!("{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
-        stream.write_all(req.as_bytes()).unwrap();
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).unwrap();
-        let text = String::from_utf8_lossy(&raw).to_string();
-        let status: u16 = text
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .expect("status line");
-        let body = text
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_string())
-            .unwrap_or_default();
-        (status, body)
+    /// Dispatch one request and return `(status, body)`.
+    fn call(db: &Instance, method: &str, path: &str) -> (u16, String) {
+        let r = admin_response(db, method, path);
+        (r.status, r.body)
     }
 
-    fn demo_instance() -> Arc<Instance> {
+    fn json(body: &str) -> Value {
+        asterix_adm::json::parse(body).unwrap()
+    }
+
+    fn demo_instance() -> Instance {
         let db = Instance::new(InstanceConfig::tiny(2));
         db.create_dataset("ARevs", "id").unwrap();
         for i in 0..8i64 {
@@ -409,125 +334,79 @@ mod tests {
             )
             .unwrap();
         }
-        Arc::new(db)
+        db
     }
 
     #[test]
     fn serves_health_metrics_and_queries() {
         let db = demo_instance();
         db.query("for $t in dataset ARevs return $t.id").unwrap();
-        let admin = AdminServer::start(Arc::clone(&db), "127.0.0.1:0").unwrap();
-        let addr = admin.local_addr();
 
-        let (status, body) = http(addr, "GET", "/health");
+        let (status, body) = call(&db, "GET", "/health");
         assert_eq!(status, 200);
-        let v = asterix_adm::json::parse(&body).unwrap();
+        let v = json(&body);
         assert_eq!(v.field("status").as_str(), Some("ok"));
         assert_eq!(
             v.field_path("durability.wal_poisoned").as_bool(),
             Some(false)
         );
 
-        let (status, prom) = http(addr, "GET", "/metrics");
+        let (status, prom) = call(&db, "GET", "/metrics");
         assert_eq!(status, 200);
-        assert!(prom.contains("# TYPE"));
         assert!(prom.contains("asterix_"));
+        let families = prom.lines().filter(|l| l.starts_with("# TYPE ")).count();
+        assert!(families > 10, "only {families} metric families");
 
-        let (status, body) = http(addr, "GET", "/metrics.json");
+        let (status, body) = call(&db, "GET", "/metrics.json");
         assert_eq!(status, 200);
-        let v = asterix_adm::json::parse(&body).unwrap();
-        assert_eq!(v.field("telemetry_enabled").as_bool(), Some(true));
+        assert_eq!(json(&body).field("telemetry_enabled").as_bool(), Some(true));
 
         // No query in flight right now.
-        let (status, body) = http(addr, "GET", "/queries");
+        let (status, body) = call(&db, "GET", "/queries");
         assert_eq!(status, 200);
-        let v = asterix_adm::json::parse(&body).unwrap();
-        assert_eq!(v.field("count").as_i64(), Some(0));
+        assert_eq!(json(&body).field("count").as_i64(), Some(0));
 
-        let (status, body) = http(addr, "GET", "/lsm");
+        let (status, body) = call(&db, "GET", "/lsm");
         assert_eq!(status, 200);
-        let v = asterix_adm::json::parse(&body).unwrap();
+        let v = json(&body);
         let datasets = v.field("datasets").as_list().unwrap();
         assert_eq!(datasets[0].field("dataset").as_str(), Some("ARevs"));
 
-        let (status, body) = http(addr, "GET", "/slow");
-        assert_eq!(status, 200);
-        asterix_adm::json::parse(&body).unwrap();
+        assert_eq!(call(&db, "GET", "/").0, 200);
 
-        let (status, _) = http(addr, "GET", "/");
+        // A captured slow query is listed in `/slow`, and the trace link
+        // of the newest entry serves a non-empty Chrome trace.
+        let force_capture = QueryOptions {
+            slow_query_threshold: Some(Duration::ZERO),
+            ..QueryOptions::default()
+        };
+        db.query_with("for $t in dataset ARevs return $t.summary", &force_capture)
+            .unwrap();
+        let (status, body) = call(&db, "GET", "/slow");
         assert_eq!(status, 200);
+        let v = json(&body);
+        let entries = v.field("entries").as_list().unwrap();
+        let newest = entries.last().expect("slow log populated");
+        let (status, body) = call(&db, "GET", newest.field("trace").as_str().unwrap());
+        assert_eq!(status, 200);
+        let trace = json(&body);
+        assert!(!trace.field("traceEvents").as_list().unwrap().is_empty());
     }
 
     #[test]
-    fn error_paths_404_405_431_and_bad_requests() {
+    fn error_paths_404_and_405() {
         let db = demo_instance();
-        let admin = AdminServer::start(db, "127.0.0.1:0").unwrap();
-        let addr = admin.local_addr();
-
-        assert_eq!(http(addr, "GET", "/nope").0, 404);
-        assert_eq!(http(addr, "POST", "/metrics").0, 405);
-        assert_eq!(http(addr, "GET", "/queries/1/cancel").0, 405);
+        assert_eq!(call(&db, "GET", "/nope").0, 404);
+        assert_eq!(call(&db, "POST", "/metrics").0, 405);
+        assert_eq!(call(&db, "GET", "/queries/1/cancel").0, 405);
         // Cancel of an id that is not in flight.
-        assert_eq!(http(addr, "POST", "/queries/999/cancel").0, 404);
-        assert_eq!(http(addr, "POST", "/queries/abc/cancel").0, 404);
+        assert_eq!(call(&db, "POST", "/queries/999/cancel").0, 404);
+        assert_eq!(call(&db, "POST", "/queries/abc/cancel").0, 404);
         // Trace of an id not in the slow log; bogus trace id.
-        assert_eq!(http(addr, "GET", "/trace/12345").0, 404);
-        assert_eq!(http(addr, "GET", "/trace/xyz").0, 404);
+        assert_eq!(call(&db, "GET", "/trace/12345").0, 404);
+        assert_eq!(call(&db, "GET", "/trace/xyz").0, 404);
         // In-memory instance has no recovery trace.
-        assert_eq!(http(addr, "GET", "/trace/recovery").0, 404);
-
-        // Oversized request head → 431. The server stops reading at the
-        // cap and may reset the connection with our padding unread, so
-        // both the write and the tail of the read tolerate errors.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let huge = format!(
-            "GET /health HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
-            "a".repeat(2 * 8 * 1024)
-        );
-        let _ = stream.write_all(huge.as_bytes());
-        let mut raw = Vec::new();
-        let mut chunk = [0u8; 512];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => raw.extend_from_slice(&chunk[..n]),
-            }
-        }
-        assert!(String::from_utf8_lossy(&raw).starts_with("HTTP/1.1 431"));
-
-        // Garbage request line → 400.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"NONSENSE\r\n\r\n").unwrap();
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).unwrap();
-        assert!(String::from_utf8_lossy(&raw).starts_with("HTTP/1.1 400"));
-    }
-
-    #[test]
-    fn concurrent_clients_all_succeed() {
-        let db = demo_instance();
-        let admin = AdminServer::start(db, "127.0.0.1:0").unwrap();
-        let addr = admin.local_addr();
-        let threads: Vec<_> = (0..8)
-            .map(|i| {
-                thread::spawn(move || {
-                    let path = match i % 4 {
-                        0 => "/health",
-                        1 => "/metrics",
-                        2 => "/metrics.json",
-                        _ => "/queries",
-                    };
-                    for _ in 0..5 {
-                        let (status, body) = http(addr, "GET", path);
-                        assert_eq!(status, 200);
-                        assert!(!body.is_empty());
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
+        assert_eq!(call(&db, "GET", "/trace/recovery").0, 404);
     }
 
     /// The acceptance path: an in-flight query shows up in `/queries`
@@ -547,8 +426,6 @@ mod tests {
             )
             .unwrap();
         }
-        let admin = AdminServer::start(Arc::clone(&db), "127.0.0.1:0").unwrap();
-        let addr = admin.local_addr();
 
         // A similarity self-join with no index: a nested-loop pass over
         // 1500×1500 pairs, long enough to observe and cancel.
@@ -570,15 +447,17 @@ mod tests {
         // Poll until the query is visible with live progress.
         let mut seen = None;
         for _ in 0..2000 {
-            let (status, body) = http(addr, "GET", "/queries");
+            let (status, body) = call(&db, "GET", "/queries");
             assert_eq!(status, 200);
-            let v = asterix_adm::json::parse(&body).unwrap();
+            let v = json(&body);
             let queries = v.field("queries").as_list().unwrap();
+            assert_eq!(v.field("count").as_i64(), Some(queries.len() as i64));
             if let Some(q) = queries
                 .iter()
                 .find(|q| q.field("state").as_str() == Some("running"))
             {
                 if q.field("tuples_out").as_i64().unwrap_or(0) > 0 {
+                    assert!(!q.field("operators").as_list().unwrap().is_empty());
                     seen = Some(q.field("query_id").as_i64().unwrap());
                     break;
                 }
@@ -587,19 +466,17 @@ mod tests {
         }
         let query_id = seen.expect("in-flight query never showed live progress in /queries");
 
-        let (status, body) = http(addr, "POST", &format!("/queries/{query_id}/cancel"));
+        let (status, body) = call(&db, "POST", &format!("/queries/{query_id}/cancel"));
         assert_eq!(status, 200);
-        let v = asterix_adm::json::parse(&body).unwrap();
-        assert_eq!(v.field("cancelled").as_bool(), Some(true));
+        assert_eq!(json(&body).field("cancelled").as_bool(), Some(true));
 
         match runner.join().unwrap() {
             Err(CoreError::Cancelled) => {}
             other => panic!("expected CoreError::Cancelled, got {other:?}"),
         }
         // The registry forgets the query once it finishes.
-        let (_, body) = http(addr, "GET", "/queries");
-        let v = asterix_adm::json::parse(&body).unwrap();
-        assert_eq!(v.field("count").as_i64(), Some(0));
+        let (_, body) = call(&db, "GET", "/queries");
+        assert_eq!(json(&body).field("count").as_i64(), Some(0));
     }
 
     /// `QueryResult::trace_chrome_json` emits valid trace-event JSON:

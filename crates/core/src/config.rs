@@ -7,8 +7,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 /// Telemetry knobs. Telemetry is **on by default** — the registry is a
-/// handful of atomics per query, the event ring is bounded, and
-/// `experiments monitor` asserts the end-to-end overhead stays under 5% — but
+/// handful of atomics per query, the event ring is bounded, and the `e2e`
+/// benchmark reports its cost as `trace.overhead_share` — but
 /// [`TelemetryConfig::off`] turns every collection point into a no-op for
 /// instances that want the absolute minimum per-query cost.
 #[derive(Clone, Debug)]

@@ -1,9 +1,8 @@
 //! A dependency-free HTTP/1.1 foundation on `std::net`.
 //!
-//! Factored out of the admin endpoint so every HTTP surface of the
-//! engine — the read-only [`crate::AdminServer`] and the client-facing
-//! `asterix-server` query/ingest service — shares one bounded request
-//! parser, one response writer, and one accept loop:
+//! The `asterix-server` query/ingest service (which mounts the
+//! [`crate::admin_response`] routes under `/admin/*`) is built on one
+//! bounded request parser, one response writer, and one accept loop:
 //!
 //! * [`Request`]: one parsed request with lower-cased headers and a
 //!   fully-read body. Parsing is bounded — request heads larger than
@@ -332,8 +331,8 @@ impl Drop for ChunkedBody<'_> {
 
 /// A running HTTP server: a bound listener plus its accept-loop thread.
 ///
-/// Generic over the handler: the admin endpoint and the query/ingest
-/// service are both instances of this loop with different routers.
+/// Generic over the handler: `asterix-server` runs its router (query,
+/// ingest, DDL and the mounted admin routes) on this loop.
 pub struct HttpServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -722,6 +721,32 @@ mod tests {
         // Body shorter than declared → 400.
         let r = http_roundtrip(addr, "POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc");
         assert!(r.starts_with("HTTP/1.1 400"), "{r}");
+    }
+
+    /// Connections are served on threads of their own: concurrent
+    /// clients each get their own complete answer.
+    #[test]
+    fn concurrent_clients_all_succeed() {
+        let server = HttpServer::bind("127.0.0.1:0", "t", HttpLimits::default(), |req, _w| {
+            Some(Response::text(200, req.route_path().to_string()))
+        })
+        .unwrap();
+        let addr = server.local_addr();
+        let threads: Vec<_> = (0..8)
+            .map(|i| {
+                thread::spawn(move || {
+                    let path = format!("/client{i}");
+                    for _ in 0..5 {
+                        let r = http_roundtrip(addr, &format!("GET {path} HTTP/1.1\r\n\r\n"));
+                        assert!(r.starts_with("HTTP/1.1 200"), "{r}");
+                        assert!(r.ends_with(&path), "{r}");
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod result;
 pub mod scheduler;
 pub mod telemetry;
 
-pub use admin::{admin_response, AdminServer};
+pub use admin::admin_response;
 pub use http::{HttpLimits, HttpServer};
 pub use builder::{ExprBuilder, PreparedQuery, QueryBuilder, RowRef};
 pub use config::{DurabilityConfig, InstanceConfig, TelemetryConfig};

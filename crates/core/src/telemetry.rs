@@ -15,7 +15,7 @@
 //!    atomic adds; the only locks are a short mutex on the per-operator
 //!    histogram map (one hit per operator per query) and on the
 //!    slow-query deque (only for queries that cross the threshold).
-//!    `experiments monitor` asserts enabled-vs-disabled overhead < 5%.
+//!    The `e2e` benchmark reports the cost as `trace.overhead_share`.
 //! 2. **Fixed memory.** Histograms are 32 log-scale buckets; the event
 //!    ring and slow-query log are bounded deques. Nothing grows with
 //!    uptime except the operator-name map (bounded by the physical

@@ -24,9 +24,9 @@
 //! * `POST /datasets`, `POST /datasets/<dataset>/indexes`,
 //!   `GET /datasets` — DDL (the AQL dialect has no DDL statements).
 //! * `GET /feed` — ingestion feed counters.
-//! * `/admin/*` — the complete read-only admin surface of
-//!   [`asterix_core::AdminServer`], mounted under one prefix
-//!   ([`asterix_core::admin_response`]).
+//! * `/admin/*` — the read-only admin surface: the complete
+//!   [`asterix_core::admin_response`] route table, mounted under one
+//!   prefix. It is the engine's only admin listener.
 //!
 //! ```no_run
 //! use asterix_core::{Instance, InstanceConfig};

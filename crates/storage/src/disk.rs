@@ -5,8 +5,8 @@
 //!
 //! * [`MemStore`] (the default, [`Disk::new`]) — a process-wide
 //!   `HashMap<FileId, Vec<Bytes>>`. Nothing survives the process; unit
-//!   tests and `--quick` benches use it because it is fast and needs no
-//!   directory.
+//!   tests and in-memory instances use it because it is fast and needs
+//!   no directory.
 //! * [`FileStore`] ([`Disk::file_backed`]) — one append-only file per
 //!   LSM component under a configurable data directory. Every page is
 //!   framed as `len ‖ crc32 ‖ payload`; the CRC is verified on read and a
@@ -98,7 +98,7 @@ pub trait PageStore: Send + Sync + Debug {
 
 /// The in-memory backend: pages live in a `HashMap` and die with the
 /// process. This is the seed behaviour, kept for unit tests and
-/// `--quick` benches.
+/// in-memory instances.
 #[derive(Debug, Default)]
 pub struct MemStore {
     files: Mutex<HashMap<FileId, Vec<Bytes>>>,

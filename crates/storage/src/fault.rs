@@ -138,8 +138,8 @@ impl fmt::Display for IoOp {
 }
 
 /// Abort the process if the `ASTERIX_CRASH_POINT` environment variable
-/// names this point. The kill -9 torture harness (`experiments
-/// durability`) runs a child writer with a crash point armed —
+/// names this point. The kill -9 torture test (`tests/durability.rs`)
+/// runs a child writer with a crash point armed —
 /// mid-flush, mid-merge, mid-WAL-commit, mid-manifest-rename — and then
 /// verifies that a reopened instance lost no acknowledged write. An
 /// abort is indistinguishable from `kill -9` for durability purposes:

@@ -13,7 +13,10 @@
 //!    manifest references (plus WAL + MANIFEST),
 //! 5. injected WAL/manifest faults surface as typed errors before the
 //!    write is acknowledged, and the instance stays consistent across a
-//!    subsequent restart.
+//!    subsequent restart,
+//! 6. a writer process killed for real — at an armed crash point or by
+//!    SIGKILL — loses no acknowledged write (the test binary re-runs
+//!    itself as that writer).
 
 use asterix_adm::{record, IndexKind, Value};
 use asterix_core::{CoreError, DurabilityConfig, Instance, InstanceConfig};
@@ -567,4 +570,195 @@ fn concurrent_flush_and_ddl_commits_lose_no_acked_writes() {
         (WRITERS * PER_WRITER) as u64,
         "every acknowledged insert must survive the concurrent commits"
     );
+}
+
+// ---------------------------------------------------------------------
+// kill -9 torture: a child process writes, dies for real, and the
+// parent demands every acknowledged write back.
+// ---------------------------------------------------------------------
+
+/// Set only on the re-run of this test binary that plays the torture
+/// writer; its value is the data directory.
+const TORTURE_CHILD_DIR: &str = "ASTERIX_TORTURE_CHILD_DIR";
+/// The torture test's own name: the child re-runs exactly this test.
+const TORTURE_TEST: &str = "kill_9_and_crash_points_lose_no_acked_writes";
+/// Records loaded and flushed in-process before the child starts.
+const TORTURE_SEED: i64 = 120;
+/// Inserts the child attempts; every round kills it before the end.
+const TORTURE_CHILD_RECORDS: i64 = 400;
+/// The child flushes this often, so the flush, merge and manifest crash
+/// points are reached within a few dozen inserts.
+const TORTURE_FLUSH_EVERY: i64 = 25;
+
+/// Deterministic record whose summary comes from a small vocabulary, so
+/// the similarity query below always has matches.
+fn torture_record(id: i64) -> Value {
+    const WORDS: [&str; 8] = [
+        "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
+    ];
+    let summary = format!(
+        "{} {}",
+        WORDS[id.rem_euclid(8) as usize],
+        WORDS[(id / 8).rem_euclid(8) as usize]
+    );
+    record! {"id" => id, "summary" => summary.as_str()}
+}
+
+/// A similarity selection the keyword index answers: checks scan ≡
+/// index after every crash.
+const TORTURE_SIM_QUERY: &str = "for $t in dataset ARevs \
+     where similarity-jaccard(word-tokens($t.summary), word-tokens('alpha beta')) >= 0.3 \
+     return $t.id";
+
+fn sorted_ids(result: Result<asterix_core::QueryResult, CoreError>) -> Vec<i64> {
+    let mut ids: Vec<i64> = result
+        .unwrap()
+        .rows
+        .into_iter()
+        .filter_map(|v| v.as_i64())
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// The writer child: insert past the seeded records, print `ACK <id>`
+/// once each insert has returned (its WAL commit is durable), and flush
+/// every [`TORTURE_FLUSH_EVERY`] inserts until the parent's crash point
+/// or SIGKILL ends the process.
+fn torture_writer(dir: &Path) {
+    use std::io::Write;
+    let db = Instance::open(tiny_durable_config(dir)).unwrap();
+    let mut out = std::io::stdout().lock();
+    for i in 0..TORTURE_CHILD_RECORDS {
+        let id = TORTURE_SEED + i;
+        db.insert("ARevs", torture_record(id)).unwrap();
+        writeln!(out, "ACK {id}").unwrap();
+        out.flush().unwrap();
+        if (i + 1) % TORTURE_FLUSH_EVERY == 0 {
+            db.flush("ARevs").unwrap();
+        }
+    }
+}
+
+/// Run the writer child on `dir` and return `(acked ids, signal that
+/// ended it)`. With `crash_point` set it aborts there; with `kill_after`
+/// it is SIGKILLed once that many ACKs arrived. ACKs already in the pipe
+/// when it dies still count: the child writes them only after an
+/// acknowledged insert.
+fn run_torture_child(
+    dir: &Path,
+    crash_point: Option<&str>,
+    kill_after: Option<usize>,
+) -> (Vec<i64>, Option<i32>) {
+    use std::os::unix::process::ExitStatusExt;
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+    let mut cmd = Command::new(std::env::current_exe().unwrap());
+    cmd.args(["--exact", TORTURE_TEST, "--nocapture", "--test-threads", "1"])
+        .env(TORTURE_CHILD_DIR, dir)
+        .env_remove("ASTERIX_CRASH_POINT")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null());
+    if let Some(point) = crash_point {
+        cmd.env("ASTERIX_CRASH_POINT", point);
+    }
+    let mut child = cmd.spawn().unwrap();
+    let stdout = child.stdout.take().unwrap();
+    let mut acked = Vec::new();
+    for line in std::io::BufReader::new(stdout).lines() {
+        let Ok(line) = line else { break };
+        if let Some(id) = line.strip_prefix("ACK ").and_then(|s| s.trim().parse().ok()) {
+            acked.push(id);
+            if kill_after == Some(acked.len()) {
+                // Keep reading: ACKs written before the kill landed are
+                // real acknowledgments.
+                child.kill().unwrap();
+            }
+        }
+    }
+    (acked, child.wait().unwrap().signal())
+}
+
+/// The writer child dies for real — at an armed crash point (an
+/// `abort()` mid-flush, mid-merge or mid-manifest-rename) or by SIGKILL
+/// mid-stream — and the reopened directory must hold every acknowledged
+/// write, answer the similarity query identically with and without its
+/// index, and accept new writes. Nothing the rounds create may remain in
+/// the temp dir.
+#[test]
+fn kill_9_and_crash_points_lose_no_acked_writes() {
+    if let Some(dir) = std::env::var_os(TORTURE_CHILD_DIR) {
+        torture_writer(Path::new(&dir));
+        return;
+    }
+    let scenarios: [(&str, Option<&str>, Option<usize>); 5] = [
+        ("crash:flush.mid", Some("flush.mid"), None),
+        ("crash:merge.mid", Some("merge.mid"), None),
+        ("crash:manifest.rename", Some("manifest.rename"), None),
+        ("sigkill", None, Some(40)),
+        ("sigkill", None, Some(101)),
+    ];
+    let mut scratch_dirs = Vec::new();
+    for (mode, crash_point, kill_after) in scenarios {
+        let tmp = TempDir::new("torture");
+        scratch_dirs.push(tmp.path().to_path_buf());
+        {
+            let db = Instance::open(tiny_durable_config(tmp.path())).unwrap();
+            db.create_dataset("ARevs", "id").unwrap();
+            db.create_index("ARevs", "sum_kw", "summary", IndexKind::Keyword)
+                .unwrap();
+            db.load("ARevs", (0..TORTURE_SEED).map(torture_record)).unwrap();
+            db.flush("ARevs").unwrap();
+        }
+        let (child_acked, signal) = run_torture_child(tmp.path(), crash_point, kill_after);
+        // An abort is SIGABRT; anything else (a clean exit, a panic's
+        // exit code) means the child did not die where the round aims.
+        let expected = if crash_point.is_some() { 6 } else { 9 };
+        assert_eq!(
+            signal,
+            Some(expected),
+            "{mode}: the child must die mid-stream (it acked {} of {TORTURE_CHILD_RECORDS})",
+            child_acked.len()
+        );
+        assert!(
+            child_acked.len() >= kill_after.unwrap_or(1),
+            "{mode}: the child acked only {} writes",
+            child_acked.len()
+        );
+        let acked: Vec<i64> = (0..TORTURE_SEED).chain(child_acked).collect();
+
+        let db = Instance::open(tiny_durable_config(tmp.path())).unwrap();
+        let ids: std::collections::HashSet<i64> =
+            sorted_ids(db.query("for $t in dataset ARevs return $t.id"))
+                .into_iter()
+                .collect();
+        let lost = acked.iter().filter(|id| !ids.contains(id)).count();
+        assert_eq!(lost, 0, "{mode}: {lost} acknowledged writes lost after recovery");
+        assert!(ids.len() >= acked.len(), "{mode}: recovered fewer than acked");
+        let with_index = sorted_ids(db.query(TORTURE_SIM_QUERY));
+        let without_index = sorted_ids(db.query_with(
+            TORTURE_SIM_QUERY,
+            &asterix_core::QueryOptions {
+                optimizer: Some(asterix_algebricks::OptimizerConfig {
+                    enable_index_select: false,
+                    ..Default::default()
+                }),
+                ..Default::default()
+            },
+        ));
+        assert!(!with_index.is_empty(), "{mode}: similarity query found nothing");
+        assert_eq!(with_index, without_index, "{mode}: scan and index disagree");
+        db.insert("ARevs", torture_record(9_999_999)).unwrap();
+        db.flush("ARevs").unwrap();
+    }
+    for dir in &scratch_dirs {
+        assert!(!dir.exists(), "{} left behind", dir.display());
+    }
+    let prefix = format!("asterix_durability_torture_{}_", std::process::id());
+    let leftovers: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
+        .collect();
+    assert!(leftovers.is_empty(), "left in the temp dir: {leftovers:?}");
 }

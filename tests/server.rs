@@ -1,8 +1,9 @@
 //! Integration tests of the `asterix-server` HTTP service: streamed
 //! results must match library execution exactly, engine errors must map
 //! to their documented statuses, ingestion must backpressure instead of
-//! buffering without bound, and the admin surface must ride along under
-//! `/admin/*`.
+//! buffering without bound, the admin surface must ride along under
+//! `/admin/*`, and a server process killed mid-ingest must lose no
+//! acknowledged record.
 
 use asterix_adm::{json, record, IndexKind, Value};
 use asterix_core::{Instance, InstanceConfig, QueryClass, SchedulerConfig};
@@ -52,15 +53,29 @@ fn serve(db: Instance) -> AsterixServer {
 /// One full HTTP exchange; the response body is chunked-decoded when the
 /// server streamed it.
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
+    try_http(addr, method, path, body).unwrap()
+}
+
+/// [`http`] that reports a failed connection, or a response cut off
+/// before its head ended, as an error instead of panicking.
+fn try_http(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> std::io::Result<(u16, String, String)> {
+    let mut stream = TcpStream::connect(addr)?;
     let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(request.as_bytes()).unwrap();
+    stream.write_all(request.as_bytes())?;
     let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).unwrap();
-    parse_response(&raw)
+    stream.read_to_end(&mut raw)?;
+    if !raw.windows(4).any(|w| w == b"\r\n\r\n") {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(parse_response(&raw))
 }
 
 fn parse_response(raw: &[u8]) -> (u16, String, String) {
@@ -397,16 +412,17 @@ fn concurrent_queries_and_ingest_agree_with_library() {
         sorted(result.rows.iter().map(json::to_string).collect())
     };
 
+    assert!(!expected.is_empty());
     let mut workers = Vec::new();
     for w in 0..4 {
-        let query = query.to_string();
+        let (query, expected) = (query.to_string(), expected.clone());
         workers.push(thread::spawn(move || {
             for _ in 0..5 {
                 let (status, rows, _) = http_query(addr, &query, "{}");
                 assert_eq!(status, 200);
-                // Ingested records never match the predicate, so results
-                // stay stable while the feed runs.
-                assert!(!rows.is_empty());
+                // Ingested records never match the predicate, so every
+                // stream equals the library's rows while the feed runs.
+                assert_eq!(sorted(rows), expected, "a stream diverged from the library");
             }
             w
         }));
@@ -636,4 +652,159 @@ fn cancel_over_http_ends_the_stream_with_a_typed_error() {
         Some("cancelled"),
         "{text}"
     );
+}
+
+/// A durable `asterix-server` process is fed NDJSON batches by two
+/// concurrent feeders and SIGKILLed mid-feed. A `200` means every record
+/// of the batch is durable, so the reopened data directory must hold
+/// every acknowledged record and answer the similarity query the same
+/// with and without its index. Nothing the test creates may remain in
+/// the temp dir.
+#[test]
+fn kill_9_mid_ingest_loses_no_acked_record() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
+
+    const WORDS: [&str; 8] = [
+        "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
+    ];
+    const KILL_AFTER_ACKS: usize = 150;
+    /// Removes the data directory on drop, also when an assert fails.
+    struct ScratchDir(std::path::PathBuf);
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+    let prefix = format!("asterix_server_kill9_{}", std::process::id());
+    let scratch = ScratchDir(std::env::temp_dir().join(&prefix));
+    let dir = scratch.0.clone();
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // `--duration` bounds the server's life should the test fail before
+    // it kills the process.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_asterix-server"))
+        .args(["--listen", "127.0.0.1:0", "--partitions", "2", "--duration", "120"])
+        .arg("--data-dir")
+        .arg(&dir)
+        .env_remove("ASTERIX_CRASH_POINT")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut lines = std::io::BufReader::new(child.stdout.take().unwrap()).lines();
+    let addr: SocketAddr = lines
+        .find_map(|line| {
+            let line = line.ok()?;
+            let url = line.split("listening on ").nth(1)?;
+            Some(url.trim().trim_start_matches("http://").parse().unwrap())
+        })
+        .expect("server printed no listening address");
+
+    let (status, _head, body) = http(
+        addr,
+        "POST",
+        "/datasets",
+        "{\"name\": \"ARevs\", \"primary_key\": \"id\"}",
+    );
+    assert_eq!(status, 201, "{body}");
+    let (status, _head, body) = http(
+        addr,
+        "POST",
+        "/datasets/ARevs/indexes",
+        "{\"name\": \"sum_kw\", \"field\": \"summary\", \"kind\": \"keyword\"}",
+    );
+    assert_eq!(status, 201, "{body}");
+
+    let acked = Mutex::new(Vec::<i64>::new());
+    let stop = AtomicBool::new(false);
+    thread::scope(|s| {
+        for feeder in 0..2i64 {
+            let (acked, stop) = (&acked, &stop);
+            s.spawn(move || {
+                let mut next = (feeder + 1) * 1_000_000;
+                while !stop.load(Ordering::SeqCst) {
+                    let ids: Vec<i64> = (next..next + 10).collect();
+                    let batch: String = ids
+                        .iter()
+                        .map(|id| {
+                            let summary = format!(
+                                "{} {}",
+                                WORDS[id.rem_euclid(8) as usize],
+                                WORDS[(id / 8).rem_euclid(8) as usize]
+                            );
+                            format!("{{\"id\": {id}, \"summary\": \"{summary}\"}}\n")
+                        })
+                        .collect();
+                    match try_http(addr, "POST", "/ingest/ARevs", &batch) {
+                        Ok((200, _, _)) => {
+                            acked.lock().unwrap().extend(&ids);
+                            next += 10;
+                        }
+                        // Saturated feed: retry the same batch.
+                        Ok((429, _, _)) => thread::sleep(Duration::from_millis(20)),
+                        Ok((status, _, body)) => panic!("ingest answered {status}: {body}"),
+                        // The server is being killed: nothing of this
+                        // batch was acknowledged.
+                        Err(_) => thread::sleep(Duration::from_millis(10)),
+                    }
+                }
+            });
+        }
+        while acked.lock().unwrap().len() < KILL_AFTER_ACKS {
+            thread::sleep(Duration::from_millis(5));
+        }
+        child.kill().unwrap();
+        child.wait().unwrap();
+        stop.store(true, Ordering::SeqCst);
+    });
+    let acked = acked.into_inner().unwrap();
+
+    {
+        let mut config = InstanceConfig::with_partitions(2);
+        config.durability = asterix_core::DurabilityConfig::at(&dir);
+        let mut scan_only = config.optimizer.clone();
+        scan_only.enable_index_select = false;
+        let db = Instance::open(config).unwrap();
+        let ids = |aql: &str, options: &asterix_core::QueryOptions| {
+            let mut ids: Vec<i64> = db
+                .query_with(aql, options)
+                .unwrap()
+                .rows
+                .iter()
+                .filter_map(Value::as_i64)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let recovered = ids("for $t in dataset ARevs return $t.id", &Default::default());
+        let lost: Vec<_> = acked
+            .iter()
+            .filter(|id| recovered.binary_search(id).is_err())
+            .collect();
+        assert!(lost.is_empty(), "{} acked records lost after kill -9", lost.len());
+        let sim = "for $t in dataset ARevs \
+                   where similarity-jaccard(word-tokens($t.summary), \
+                                            word-tokens('alpha beta')) >= 0.3 \
+                   return $t.id";
+        let with_index = ids(sim, &Default::default());
+        let without_index = ids(
+            sim,
+            &asterix_core::QueryOptions {
+                optimizer: Some(scan_only),
+                ..Default::default()
+            },
+        );
+        assert!(!with_index.is_empty());
+        assert_eq!(with_index, without_index, "scan and index disagree after recovery");
+    }
+    drop(scratch);
+    let leftovers: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
+        .collect();
+    assert!(leftovers.is_empty(), "left in the temp dir: {leftovers:?}");
 }

@@ -65,6 +65,11 @@ fn classes_and_histogram_totals_match_issued_queries() {
     assert_eq!(join.completed, 1);
     for c in [&scan, &select, &join] {
         assert_eq!(c.latency.count, c.completed, "histogram total == query count");
+        assert_eq!(
+            c.latency.buckets.iter().sum::<u64>(),
+            c.latency.count,
+            "histogram buckets sum to the count"
+        );
         assert_eq!(c.compile.count, c.completed);
         assert_eq!(c.failed, 0);
         assert_eq!(c.timeouts, 0);
