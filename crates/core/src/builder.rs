@@ -303,14 +303,14 @@ impl PreparedQuery {
             .then(asterix_storage::QueryCounters::handle);
         // Builder queries bypass AQL compilation *and* admission control
         // (this is the low-level bench/test API), but still run on the
-        // shared pool under a memory budget when the scheduler is on.
+        // shared pool under a memory budget.
         let job_options = JobOptions {
             timeout: options.timeout,
             counters: counters.clone(),
             trace: None,
-            pool: db.scheduler().map(|s| s.pool().clone()),
+            pool: Some(db.scheduler.pool().clone()),
             cancel: None,
-            memory_budget: db.scheduler().map(|s| s.memory_budget()),
+            memory_budget: Some(db.scheduler.memory_budget()),
             progress: None,
             result_sink: None,
         };

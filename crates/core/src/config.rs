@@ -109,9 +109,7 @@ pub struct InstanceConfig {
     /// Telemetry knobs (on by default).
     pub telemetry: TelemetryConfig,
     /// Query-scheduler knobs: shared worker pool, admission control, and
-    /// the per-query memory budget. On by default; set
-    /// [`SchedulerConfig::disabled`] for the seed per-query-thread
-    /// executor with no admission control.
+    /// the per-query memory budget. Every query runs on the pool.
     pub scheduler: SchedulerConfig,
     /// Durable-storage knobs (off by default: in-memory page store, no
     /// WAL, no recovery).

@@ -5,7 +5,7 @@ use crate::durability::{DurabilityGauges, PartitionDurability, RecoveryStats, Wa
 use crate::error::CoreError;
 use crate::registry::{QueryRegistry, RegistryGuard, RunningQuery};
 use crate::result::{PlanInfo, QueryOptions, QueryResult};
-use crate::scheduler::{QueryScheduler, SchedulerSnapshot};
+use crate::scheduler::QueryScheduler;
 use crate::telemetry::{
     DatasetGauges, IndexGauge, InstanceGauges, MetricsSnapshot, QueryClass, QueryOutcome, Telemetry,
 };
@@ -166,10 +166,9 @@ pub struct Instance {
     /// The metrics registry + event log + slow-query log; `None` when
     /// `TelemetryConfig::enabled` is false.
     telemetry: Option<Arc<Telemetry>>,
-    /// Shared worker pool + admission controller; `None` when
-    /// `SchedulerConfig::workers == 0` (seed behaviour: per-query
-    /// threads, no admission control, no memory budget).
-    scheduler: Option<QueryScheduler>,
+    /// Shared worker pool + admission controller: every query runs on
+    /// its pool.
+    pub(crate) scheduler: QueryScheduler,
     /// WAL + manifest per partition; `None` on in-memory instances
     /// (`DurabilityConfig::data_dir == None`).
     durability: Option<DurabilityState>,
@@ -183,7 +182,7 @@ pub struct Instance {
 
 impl Instance {
     /// Build an in-memory instance from `config`, spawning the shared
-    /// worker pool when the scheduler is enabled.
+    /// worker pool.
     ///
     /// Equivalent to [`Instance::open`] but infallible: an in-memory
     /// instance cannot fail to start, and a durable configuration that
@@ -1073,20 +1072,19 @@ impl Instance {
             lsm_flushes,
             lsm_merges,
             datasets,
-            scheduler: match &self.scheduler {
-                Some(s) => s.snapshot(),
-                None => SchedulerSnapshot::default(),
-            },
+            scheduler: self.scheduler.snapshot(),
             durability,
             plan_cache_hits: self.plan_cache.hits(),
             plan_cache_misses: self.plan_cache.misses(),
         }
     }
 
-    /// The query scheduler (worker pool + admission controller), when
-    /// enabled. Tests and the bench harness inspect its gauges here.
+    /// The query scheduler (worker pool + admission controller). Always
+    /// `Some`: every instance has one. The `Option` stays only because the
+    /// `e2e` benchmark maps over it. Tests and the bench harness inspect
+    /// its gauges here.
     pub fn scheduler(&self) -> Option<&QueryScheduler> {
-        self.scheduler.as_ref()
+        Some(&self.scheduler)
     }
 
     /// Run an AQL query with the instance's optimizer settings.
@@ -1272,28 +1270,23 @@ impl Instance {
         // Admission sits between compile and execute: queue wait is
         // recorded in the scheduler's own histogram and deliberately
         // excluded from the per-class execution-time histogram.
-        let permit = match &self.scheduler {
-            Some(s) => {
-                let admit_span = trace.as_ref().map(|t| t.span("admission"));
-                let admitted = s.admit(class, &cancel, query_id);
-                drop(admit_span);
-                match admitted {
-                    Ok(p) => Some(p),
-                    Err(e) => {
-                        self.ctx.clear_cancel_if(&cancel);
-                        if let Some(t) = &self.telemetry {
-                            let outcome = match &e {
-                                ExecError::AdmissionTimeout(_) => QueryOutcome::Timeout,
-                                ExecError::Cancelled => QueryOutcome::Cancelled,
-                                _ => QueryOutcome::Failed,
-                            };
-                            t.record_query(class, outcome, compile_time, Duration::ZERO, 0);
-                        }
-                        return Err(e.into());
-                    }
+        let admit_span = trace.as_ref().map(|t| t.span("admission"));
+        let admitted = self.scheduler.admit(class, &cancel, query_id);
+        drop(admit_span);
+        let permit = match admitted {
+            Ok(p) => p,
+            Err(e) => {
+                self.ctx.clear_cancel_if(&cancel);
+                if let Some(t) = &self.telemetry {
+                    let outcome = match &e {
+                        ExecError::AdmissionTimeout(_) => QueryOutcome::Timeout,
+                        ExecError::Cancelled => QueryOutcome::Cancelled,
+                        _ => QueryOutcome::Failed,
+                    };
+                    t.record_query(class, outcome, compile_time, Duration::ZERO, 0);
                 }
+                return Err(e.into());
             }
-            None => None,
         };
         self.registry.set_running(query_id);
 
@@ -1312,9 +1305,9 @@ impl Instance {
             trace: trace
                 .clone()
                 .zip(exec_span.as_ref().map(|s| s.id())),
-            pool: self.scheduler.as_ref().map(|s| s.pool().clone()),
+            pool: Some(self.scheduler.pool().clone()),
             cancel: Some(cancel),
-            memory_budget: self.scheduler.as_ref().map(|s| s.memory_budget()),
+            memory_budget: Some(self.scheduler.memory_budget()),
             progress: Some(progress),
             result_sink: stream.as_ref().map(|(sink, _)| sink.clone()),
         };

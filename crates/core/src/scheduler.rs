@@ -134,8 +134,8 @@ impl SchedulerInner {
 }
 
 /// The per-instance query scheduler: worker pool, admission controller,
-/// and per-query memory-budget factory. Created by `Instance::new` when
-/// [`SchedulerConfig::enabled`]; `None` (seed behaviour) otherwise.
+/// and per-query memory-budget factory. Every instance has one, built by
+/// `Instance::open`.
 #[derive(Debug)]
 pub struct QueryScheduler {
     config: SchedulerConfig,
@@ -144,15 +144,12 @@ pub struct QueryScheduler {
 }
 
 impl QueryScheduler {
-    /// Build the scheduler for `config`, spawning the shared worker pool.
-    /// Returns `None` when the config disables scheduling (`workers == 0`).
-    pub fn new(config: &SchedulerConfig) -> Option<QueryScheduler> {
-        if !config.enabled() {
-            return None;
-        }
-        Some(QueryScheduler {
+    /// Build the scheduler for `config`, spawning the shared worker pool
+    /// (at least one worker, whatever `workers` says).
+    pub fn new(config: &SchedulerConfig) -> QueryScheduler {
+        QueryScheduler {
             config: config.clone(),
-            pool: WorkerPool::new(config.workers),
+            pool: WorkerPool::new(config.workers.max(1)),
             inner: Arc::new(SchedulerInner {
                 max_concurrent: config.max_concurrent_queries.max(1),
                 queue_depth: config.queue_depth,
@@ -166,7 +163,7 @@ impl QueryScheduler {
                 counters: SchedulerCounters::default(),
                 recent: Mutex::new(VecDeque::new()),
             }),
-        })
+        }
     }
 
     /// The configuration this scheduler was built from.
@@ -351,8 +348,9 @@ impl Drop for AdmissionPermit {
     }
 }
 
-/// Everything the scheduler exports into the metrics snapshot. All-zero
-/// (with `enabled == false`) on instances running without a scheduler.
+/// Everything the scheduler exports into the metrics snapshot. Every
+/// instance has a scheduler, so an instance's snapshot reads
+/// `enabled == true`; only the all-zero `Default` reads `false`.
 #[derive(Clone, Debug, Default)]
 pub struct SchedulerSnapshot {
     /// Whether an admission controller + worker pool is active.
@@ -412,12 +410,6 @@ mod tests {
             queue_depth,
             memory_budget_bytes: 0,
         })
-        .expect("enabled config")
-    }
-
-    #[test]
-    fn disabled_config_builds_no_scheduler() {
-        assert!(QueryScheduler::new(&SchedulerConfig::disabled()).is_none());
     }
 
     #[test]

@@ -557,8 +557,7 @@ pub struct InstanceGauges {
     pub lsm_merges: u64,
     /// Per-dataset LSM component/size gauges.
     pub datasets: Vec<DatasetGauges>,
-    /// Scheduler + admission-controller state; all-zero with
-    /// `enabled == false` on instances running without a scheduler.
+    /// Scheduler + admission-controller state.
     pub scheduler: crate::scheduler::SchedulerSnapshot,
     /// WAL/fsync/recovery counters; all-zero with `enabled == false` on
     /// in-memory instances.

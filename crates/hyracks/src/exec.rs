@@ -1,5 +1,6 @@
 //! The job executor: instantiate every operator on every partition, wire
-//! connectors as channels, run, and collect results + statistics.
+//! connectors as channels, run the tasks on a shared [`WorkerPool`], and
+//! collect results + statistics.
 //!
 //! Execution is supervised: every operator instance runs under
 //! `catch_unwind`, the first failure (error, panic, or deadline) trips the
@@ -7,28 +8,20 @@
 //! their next cooperative check instead of running — or blocking — to
 //! completion.
 //!
-//! Two execution modes share that supervision contract:
-//!
-//! * **Pipelined** (the default, [`JobOptions::pool`] = `None`): every
-//!   operator partition gets its own scoped OS thread and all operators
-//!   run concurrently. Edge channels are bounded, so a fast producer
-//!   feeding a slow consumer exerts backpressure rather than buffering
-//!   without limit.
-//! * **Pooled** ([`JobOptions::pool`] set): tasks run on a shared,
-//!   instance-lifetime [`WorkerPool`] instead of fresh threads. A fixed
-//!   pool would deadlock if a running task could block on a task still
-//!   queued behind it, so this mode executes *stage-at-a-time* (like real
-//!   Hyracks activity clusters): an operator's tasks are only submitted
-//!   once every upstream operator has completed, its inputs are then fully
-//!   buffered and closed, and edge channels are unbounded so sends never
-//!   block either. Any pool size ≥ 1 therefore makes progress, and results
-//!   are identical to the pipelined mode (operators are deterministic per
-//!   partition and routing does not depend on interleaving). The
-//!   backpressure lost to unbounded buffering is re-bounded by the
-//!   per-query [`JobOptions::memory_budget`]. Stages also follow
-//!   Hyracks' blocking build→probe edge for nested-loop joins: the sole
-//!   producer of a join's probe side waits for its build side, and never
-//!   runs behind an empty one.
+//! Tasks run on the instance-lifetime pool ([`JobOptions::pool`]), like
+//! Hyracks' fixed node-controller workers. A fixed pool would deadlock if
+//! a running task could block on a task still queued behind it, so jobs
+//! execute *stage-at-a-time* (like real Hyracks activity clusters): an
+//! operator's tasks are only submitted once every upstream operator has
+//! completed, its inputs are then fully buffered and closed, and edge
+//! channels are unbounded so sends never block either. Any pool size ≥ 1
+//! therefore makes progress, and results do not depend on the pool size
+//! (operators are deterministic per partition and routing does not depend
+//! on interleaving). The per-query [`JobOptions::memory_budget`] bounds
+//! what the buffered edges hold. Stages also follow Hyracks' blocking
+//! build→probe edge for nested-loop joins: the sole producer of a join's
+//! probe side waits for its build side, and never runs behind an empty
+//! one.
 
 use crate::context::ClusterContext;
 use crate::error::{panic_message, CancelToken, ExecError, OpError};
@@ -37,17 +30,12 @@ use crate::ops::{run_operator, Out, Router};
 use crate::pool::{PoolScope, WorkerPool};
 use crate::tuple::{BatchSlice, Tuple};
 use asterix_storage::{MemoryBudget, QueryCounters};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Capacity, in frames, of each per-(edge, consumer-partition) channel.
-/// Generous enough that small jobs never block, small enough that a
-/// runaway producer is throttled by its slowest consumer.
-pub const EDGE_CHANNEL_FRAMES: usize = 64;
 
 /// Incremental consumer of result rows for streaming execution.
 ///
@@ -98,9 +86,8 @@ pub struct JobOptions {
     /// (the caller's `execute` span). When set, every operator partition
     /// records one span with its wall time.
     pub trace: Option<(Arc<asterix_storage::Trace>, u64)>,
-    /// Run the job's tasks on this shared worker pool (stage-at-a-time)
-    /// instead of spawning one thread per operator-partition. `None` =
-    /// the pipelined per-query `thread::scope` executor.
+    /// The shared worker pool the job's tasks run on (stage-at-a-time).
+    /// Required: a job without one fails with [`ExecError::InvalidJob`].
     pub pool: Option<Arc<WorkerPool>>,
     /// Use this caller-created cancel token instead of making a fresh one.
     /// Lets the caller install the token *before* the job starts (e.g.
@@ -190,11 +177,19 @@ impl JobStats {
     }
 }
 
-/// Execute a job on the cluster with default options (no deadline),
-/// returning the sink's tuples (unordered unless the plan sorted them)
-/// and per-operator statistics.
-pub fn run_job(job: &JobSpec, ctx: &ClusterContext) -> Result<(Vec<Tuple>, JobStats), ExecError> {
-    run_job_with(job, ctx, &JobOptions::default())
+/// Execute a job on `pool` with otherwise default options (no
+/// deadline), returning the sink's tuples (unordered unless the plan
+/// sorted them) and per-operator statistics.
+pub fn run_job(
+    job: &JobSpec,
+    ctx: &ClusterContext,
+    pool: &Arc<WorkerPool>,
+) -> Result<(Vec<Tuple>, JobStats), ExecError> {
+    let options = JobOptions {
+        pool: Some(pool.clone()),
+        ..JobOptions::default()
+    };
+    run_job_with(job, ctx, &options)
 }
 
 /// Execute a job under the given options. The first operator failure
@@ -206,6 +201,9 @@ pub fn run_job_with(
     options: &JobOptions,
 ) -> Result<(Vec<Tuple>, JobStats), ExecError> {
     job.validate().map_err(ExecError::InvalidJob)?;
+    let Some(pool) = &options.pool else {
+        return Err(ExecError::InvalidJob("no worker pool".into()));
+    };
     let started = Instant::now();
 
     let cancel = match &options.cancel {
@@ -216,10 +214,7 @@ pub fn run_job_with(
         }),
     };
     ctx.install_cancel(cancel.clone());
-    let result = match &options.pool {
-        Some(pool) => run_pooled(job, ctx, options, pool, &cancel, started),
-        None => run_pipelined(job, ctx, options, &cancel, started),
-    };
+    let result = run_pooled(job, ctx, options, pool, &cancel, started);
     // Clear only our own token: an unconditional clear would clobber the
     // token of a job that started concurrently after us.
     ctx.clear_cancel_if(&cancel);
@@ -237,8 +232,7 @@ struct TaskShared<'a> {
 
 /// Run one operator partition: scope per-query attribution onto the
 /// current thread, supervise the operator body with `catch_unwind`, and
-/// either accumulate its stats or report its (typed) failure. Identical
-/// for both execution modes — only who provides the thread differs.
+/// either accumulate its stats or report its (typed) failure.
 fn run_task(
     shared: &TaskShared<'_>,
     op: &PhysicalOp,
@@ -333,142 +327,8 @@ fn run_task(
     }
 }
 
-/// The pipelined executor: one scoped OS thread per operator partition,
-/// all operators running concurrently, bounded edges for backpressure.
-fn run_pipelined(
-    job: &JobSpec,
-    ctx: &ClusterContext,
-    options: &JobOptions,
-    cancel: &Arc<CancelToken>,
-    started: Instant,
-) -> Result<(Vec<Tuple>, JobStats), ExecError> {
-    let p = ctx.num_partitions();
-
-    // Channels: one bounded (sender, receiver) pair per (edge, consumer
-    // partition). Producers of an edge share clones of all its senders.
-    struct EdgeChannels {
-        senders: Vec<Sender<BatchSlice>>,
-        receivers: Vec<Option<Receiver<BatchSlice>>>,
-    }
-    let mut edge_channels: Vec<EdgeChannels> = Vec::with_capacity(job.edges.len());
-    for _ in &job.edges {
-        let mut senders = Vec::with_capacity(p);
-        let mut receivers = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = bounded(EDGE_CHANNEL_FRAMES);
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        edge_channels.push(EdgeChannels { senders, receivers });
-    }
-
-    let sink_tuples: Mutex<Vec<Tuple>> = Mutex::new(Vec::new());
-    let stats: Mutex<HashMap<OpId, OpStats>> = Mutex::new(HashMap::new());
-    let first_error: Mutex<Option<ExecError>> = Mutex::new(None);
-
-    // Record a failure (keeping only the first) and trip the token so
-    // every other partition unwinds at its next cooperative check.
-    let report = |e: ExecError| {
-        let mut slot = first_error.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-        cancel.cancel();
-    };
-    let shared = TaskShared {
-        ctx,
-        cancel,
-        options,
-        sink_tuples: &sink_tuples,
-        stats: &stats,
-    };
-
-    std::thread::scope(|scope| {
-        for (op_id, op) in &job.ops {
-            // Edge indices by role.
-            let input_edges: Vec<usize> = {
-                let mut v: Vec<(usize, usize)> = job
-                    .edges
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.to == *op_id)
-                    .map(|(i, e)| (e.input, i))
-                    .collect();
-                v.sort();
-                v.into_iter().map(|(_, i)| i).collect()
-            };
-            let output_edges: Vec<usize> = job
-                .edges
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.from == *op_id)
-                .map(|(i, _)| i)
-                .collect();
-
-            for partition in 0..p {
-                // `validate()` rejects double-consumed input slots, so each
-                // receiver is taken exactly once; a `None` here means an
-                // internal wiring bug, reported as an error, never a panic.
-                let mut inputs: Vec<Receiver<BatchSlice>> = Vec::with_capacity(input_edges.len());
-                let mut wiring_error = None;
-                for ei in &input_edges {
-                    match edge_channels[*ei].receivers[partition].take() {
-                        Some(rx) => inputs.push(rx),
-                        None => {
-                            wiring_error = Some(ExecError::InvalidJob(format!(
-                                "{op_id} ({}) partition {partition}: input edge already consumed",
-                                op.name()
-                            )));
-                            break;
-                        }
-                    }
-                }
-                if let Some(e) = wiring_error {
-                    report(e);
-                    continue;
-                }
-                let routers: Vec<Router> = output_edges
-                    .iter()
-                    .map(|ei| {
-                        Router::new(
-                            job.edges[*ei].connector.clone(),
-                            edge_channels[*ei].senders.clone(),
-                            partition,
-                            cancel.clone(),
-                        )
-                    })
-                    .collect();
-                let report = &report;
-                let shared = &shared;
-                let op_id = *op_id;
-                scope.spawn(move || {
-                    run_task(shared, op, op_id, partition, inputs, routers, report);
-                });
-            }
-        }
-        // Senders for every edge are still alive in `edge_channels`; drop
-        // them so end-of-stream can propagate once producers finish.
-        for ec in &mut edge_channels {
-            ec.senders.clear();
-        }
-    });
-
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
-    // ResultSink counts its own stats under its OpId; subtract nothing.
-    let per_op = stats.into_inner();
-    Ok((
-        sink_tuples.into_inner(),
-        JobStats {
-            per_op,
-            elapsed: started.elapsed(),
-        },
-    ))
-}
-
 /// Completion notice: sent (via `Drop`, so panics still notify) when one
-/// operator-partition task of the pooled executor finishes.
+/// operator-partition task finishes.
 struct DoneNotice {
     tx: Sender<usize>,
     op_index: usize,
@@ -547,11 +407,11 @@ fn submit_op<'env>(
     submitted
 }
 
-/// The pooled executor: stage-at-a-time execution on a shared
-/// [`WorkerPool`]. The calling thread acts as the job driver — it submits
-/// operators whose upstreams have all completed, collects per-task
-/// completion notices, and closes each completed operator's output edges
-/// so downstream tasks observe end-of-stream after draining the buffer.
+/// Stage-at-a-time execution on a shared [`WorkerPool`]. The calling
+/// thread acts as the job driver — it submits operators whose upstreams
+/// have all completed, collects per-task completion notices, and closes
+/// each completed operator's output edges so downstream tasks observe
+/// end-of-stream after draining the buffer.
 fn run_pooled(
     job: &JobSpec,
     ctx: &ClusterContext,
@@ -563,7 +423,7 @@ fn run_pooled(
     let p = ctx.num_partitions();
     let num_ops = job.ops.len();
 
-    // Unbounded channels: a bounded send could block a pooled task on a
+    // Unbounded channels: a bounded send could block a task on a
     // consumer task that is not scheduled yet (deadlock on a full pool).
     // The per-query memory budget re-bounds what backpressure no longer
     // does.
@@ -745,7 +605,7 @@ fn run_pooled(
                     // against an internal scheduling bug anyway.
                     if inflight_tasks == 0 {
                         report(ExecError::InvalidJob(
-                            "pooled execution stalled with no tasks in flight".into(),
+                            "execution stalled with no tasks in flight".into(),
                         ));
                         break;
                     }
@@ -778,6 +638,13 @@ mod tests {
     use asterix_simfn::FunctionRegistry;
     use asterix_storage::{BufferCache, Disk, PartitionStore, StorageConfig};
     use std::sync::Arc;
+
+    /// A fresh pool of `workers` threads for one test's jobs. Tests never
+    /// share workers, so one test's throttled tasks cannot delay another
+    /// test's deadline.
+    fn pool(workers: usize) -> Arc<WorkerPool> {
+        WorkerPool::new(workers)
+    }
 
     /// Build a cluster with one dataset of `reviews` distributed by pk.
     fn cluster(partitions: usize, rows: &[(i64, &str, &str)]) -> ClusterContext {
@@ -834,7 +701,7 @@ mod tests {
         });
         let sink = job.add(PhysicalOp::ResultSink);
         job.connect(scan, sink, 0, ConnectorKind::ToOne);
-        let (rows, stats) = run_job(&job, &ctx).unwrap();
+        let (rows, stats) = run_job(&job, &ctx, &pool(2)).unwrap();
         assert_eq!(rows.len(), 6);
         assert_eq!(stats.total_output_of("dataset-scan"), 6);
     }
@@ -857,7 +724,7 @@ mod tests {
         let sink = job.add(PhysicalOp::ResultSink);
         job.pipe(scan, select);
         job.connect(select, sink, 0, ConnectorKind::ToOne);
-        let (rows, _) = run_job(&job, &ctx).unwrap();
+        let (rows, _) = run_job(&job, &ctx, &pool(2)).unwrap();
         assert_eq!(rows.len(), 3);
     }
 
@@ -875,7 +742,7 @@ mod tests {
         let sink = job.add(PhysicalOp::ResultSink);
         job.connect(scan, sort, 0, ConnectorKind::ToOne);
         job.pipe(sort, sink);
-        let (rows, _) = run_job(&job, &ctx).unwrap();
+        let (rows, _) = run_job(&job, &ctx, &pool(2)).unwrap();
         let ids: Vec<i64> = rows.iter().map(|t| t[0].as_i64().unwrap()).collect();
         assert_eq!(ids, vec![6, 5, 4, 3, 2, 1]);
     }
@@ -900,7 +767,7 @@ mod tests {
         job.connect(scan_l, join, 0, ConnectorKind::Hash(vec![0]));
         job.connect(scan_r, join, 1, ConnectorKind::Hash(vec![0]));
         job.connect(join, sink, 0, ConnectorKind::ToOne);
-        let (rows, _) = run_job(&job, &ctx).unwrap();
+        let (rows, _) = run_job(&job, &ctx, &pool(2)).unwrap();
         assert_eq!(rows.len(), 6); // self equi-join on pk
         for r in rows {
             assert_eq!(r[0], r[2]);
@@ -927,7 +794,7 @@ mod tests {
         job.connect(scan_l, join, 0, ConnectorKind::Broadcast);
         job.connect(scan_r, join, 1, ConnectorKind::OneToOne);
         job.connect(join, sink, 0, ConnectorKind::ToOne);
-        let (rows, _) = run_job(&job, &ctx).unwrap();
+        let (rows, _) = run_job(&job, &ctx, &pool(2)).unwrap();
         assert_eq!(rows.len(), 15); // C(6,2)
     }
 
@@ -952,7 +819,7 @@ mod tests {
         job.pipe(scan, unnest);
         job.connect(unnest, gb, 0, ConnectorKind::Hash(vec![2]));
         job.connect(gb, sink, 0, ConnectorKind::ToOne);
-        let (rows, _) = run_job(&job, &ctx).unwrap();
+        let (rows, _) = run_job(&job, &ctx, &pool(2)).unwrap();
         let greats: Vec<&Tuple> = rows
             .iter()
             .filter(|t| t[0] == Value::from("great"))
@@ -1001,7 +868,7 @@ mod tests {
         job.pipe(sort, lookup);
         job.pipe(lookup, verify);
         job.connect(verify, sink, 0, ConnectorKind::ToOne);
-        let (rows, stats) = run_job(&job, &ctx).unwrap();
+        let (rows, stats) = run_job(&job, &ctx, &pool(2)).unwrap();
         let mut ids: Vec<i64> = rows.iter().map(|t| t[1].as_i64().unwrap()).collect();
         ids.sort();
         assert_eq!(ids, vec![4, 6]);
@@ -1036,7 +903,7 @@ mod tests {
         job.pipe(search, lookup);
         job.pipe(lookup, verify);
         job.connect(verify, sink, 0, ConnectorKind::ToOne);
-        let (rows, _) = run_job(&job, &ctx).unwrap();
+        let (rows, _) = run_job(&job, &ctx, &pool(2)).unwrap();
         let ids: Vec<i64> = rows.iter().map(|t| t[1].as_i64().unwrap()).collect();
         assert_eq!(ids, vec![5]); // only "maria" is within distance 1
     }
@@ -1058,7 +925,7 @@ mod tests {
         job.connect(scan1, union, 0, ConnectorKind::OneToOne);
         job.connect(scan2, union, 1, ConnectorKind::OneToOne);
         job.connect(union, sink, 0, ConnectorKind::ToOne);
-        let (rows, _) = run_job(&job, &ctx).unwrap();
+        let (rows, _) = run_job(&job, &ctx, &pool(2)).unwrap();
         assert_eq!(rows.len(), 12);
     }
 
@@ -1083,7 +950,7 @@ mod tests {
         job.connect(sel_low, union, 0, ConnectorKind::OneToOne);
         job.connect(sel_high, union, 1, ConnectorKind::OneToOne);
         job.connect(union, sink, 0, ConnectorKind::ToOne);
-        let (rows, _) = run_job(&job, &ctx).unwrap();
+        let (rows, _) = run_job(&job, &ctx, &pool(2)).unwrap();
         assert_eq!(rows.len(), 6, "split + union must reconstruct the input");
     }
 
@@ -1103,7 +970,7 @@ mod tests {
         job.connect(scan, sort, 0, ConnectorKind::ToOne);
         job.pipe(sort, pos);
         job.pipe(pos, sink);
-        let (rows, _) = run_job(&job, &ctx).unwrap();
+        let (rows, _) = run_job(&job, &ctx, &pool(2)).unwrap();
         for t in rows {
             // id i (1-based) gets rank i-1 (0-based).
             assert_eq!(t[0].as_i64().unwrap() - 1, t[2].as_i64().unwrap());
@@ -1124,7 +991,7 @@ mod tests {
         job.connect(scan, gather, 0, ConnectorKind::ToOne);
         job.pipe(gather, limit);
         job.pipe(limit, sink);
-        let (rows, _) = run_job(&job, &ctx).unwrap();
+        let (rows, _) = run_job(&job, &ctx, &pool(2)).unwrap();
         assert_eq!(rows.len(), 2);
     }
 
@@ -1142,7 +1009,7 @@ mod tests {
         let sink = job.add(PhysicalOp::ResultSink);
         job.pipe(scan, bad);
         job.connect(bad, sink, 0, ConnectorKind::ToOne);
-        let err = run_job(&job, &ctx).unwrap_err();
+        let err = run_job(&job, &ctx, &pool(2)).unwrap_err();
         assert!(
             matches!(err, ExecError::Operator { .. }),
             "expected operator error, got: {err:?}"
@@ -1160,7 +1027,7 @@ mod tests {
         });
         let sink = job.add(PhysicalOp::ResultSink);
         job.connect(scan, sink, 0, ConnectorKind::ToOne);
-        assert!(run_job(&job, &ctx).is_err());
+        assert!(run_job(&job, &ctx, &pool(2)).is_err());
     }
 
     #[test]
@@ -1173,7 +1040,7 @@ mod tests {
         });
         let sink = job.add(PhysicalOp::ResultSink);
         job.connect(scan, sink, 0, ConnectorKind::ToOne);
-        let (_, stats) = run_job(&job, &ctx).unwrap();
+        let (_, stats) = run_job(&job, &ctx, &pool(2)).unwrap();
         assert_eq!(stats.output_of("dataset-scan"), Some(6));
         assert_eq!(stats.output_of("result-sink"), Some(6));
         assert!(stats.output_of("no-such-op").is_none());
@@ -1205,7 +1072,7 @@ mod tests {
         job.pipe(scan, key);
         job.connect(key, gb, 0, ConnectorKind::Hash(vec![2]));
         job.connect(gb, sink, 0, ConnectorKind::ToOne);
-        let (rows, _) = run_job(&job, &ctx).unwrap();
+        let (rows, _) = run_job(&job, &ctx, &pool(2)).unwrap();
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert_eq!(r[1], Value::Int64(6)); // count
@@ -1236,7 +1103,7 @@ mod tests {
         let sink = job.add(PhysicalOp::ResultSink);
         job.connect(scan, shuffle, 0, ConnectorKind::Hash(vec![0]));
         job.connect(shuffle, sink, 0, ConnectorKind::ToOne);
-        let (out, _) = run_job(&job, &ctx).unwrap();
+        let (out, _) = run_job(&job, &ctx, &pool(2)).unwrap();
         let mut ids: Vec<i64> = out.iter().map(|t| t[0].as_i64().unwrap()).collect();
         ids.sort();
         assert_eq!(ids, (0..1000).collect::<Vec<_>>());
@@ -1254,7 +1121,7 @@ mod tests {
         let sink = job.add(PhysicalOp::ResultSink);
         job.pipe(scan, mat);
         job.connect(mat, sink, 0, ConnectorKind::ToOne);
-        let (rows, stats) = run_job(&job, &ctx).unwrap();
+        let (rows, stats) = run_job(&job, &ctx, &pool(2)).unwrap();
         assert_eq!(rows.len(), 6);
         assert_eq!(stats.total_output_of("materialize"), 6);
     }
@@ -1279,10 +1146,24 @@ mod tests {
         (ctx, job)
     }
 
+    /// A scan → sink job over `ctx` that must succeed with 6 rows.
+    fn assert_healthy(ctx: &ClusterContext, pool: &Arc<WorkerPool>) {
+        let mut job = JobSpec::new();
+        let scan = job.add(PhysicalOp::DatasetScan {
+            dataset: "ARevs".into(),
+            range: Default::default(),
+        });
+        let sink = job.add(PhysicalOp::ResultSink);
+        job.connect(scan, sink, 0, ConnectorKind::ToOne);
+        let (rows, _) = run_job(&job, ctx, pool).unwrap();
+        assert_eq!(rows.len(), 6);
+    }
+
     #[test]
     fn injected_panic_is_caught_and_typed() {
         let (ctx, job) = faulty_job(FaultMode::Panic);
-        let err = run_job(&job, &ctx).unwrap_err();
+        let pool = pool(2);
+        let err = run_job(&job, &ctx, &pool).unwrap_err();
         match &err {
             ExecError::Panic {
                 partition, message, ..
@@ -1292,12 +1173,15 @@ mod tests {
             }
             other => panic!("expected panic error, got {other:?}"),
         }
+        // The pool's workers survive the panic and run the next job.
+        assert_healthy(&ctx, &pool);
     }
 
     #[test]
     fn injected_error_is_typed() {
         let (ctx, job) = faulty_job(FaultMode::Error);
-        let err = run_job(&job, &ctx).unwrap_err();
+        let pool = pool(2);
+        let err = run_job(&job, &ctx, &pool).unwrap_err();
         match &err {
             ExecError::Operator {
                 partition, message, ..
@@ -1307,6 +1191,7 @@ mod tests {
             }
             other => panic!("expected operator error, got {other:?}"),
         }
+        assert_healthy(&ctx, &pool);
     }
 
     #[test]
@@ -1330,6 +1215,7 @@ mod tests {
             &ctx,
             &JobOptions {
                 timeout: Some(Duration::from_millis(40)),
+                pool: Some(pool(2)),
                 ..JobOptions::default()
             },
         )
@@ -1375,7 +1261,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(5));
                 }
             });
-            run_job(job, ctx).unwrap_err()
+            run_job(job, ctx, &pool(2)).unwrap_err()
         });
         assert!(
             matches!(err, ExecError::Cancelled),
@@ -1387,15 +1273,31 @@ mod tests {
     fn invalid_job_is_typed() {
         let job = JobSpec::new(); // no sink
         let ctx = cluster(1, &[]);
-        let err = run_job(&job, &ctx).unwrap_err();
+        let err = run_job(&job, &ctx, &pool(2)).unwrap_err();
         assert!(matches!(err, ExecError::InvalidJob(_)), "got {err:?}");
+        // A valid job with no pool to run on is invalid too.
+        let mut job = JobSpec::new();
+        let scan = job.add(PhysicalOp::DatasetScan {
+            dataset: "ARevs".into(),
+            range: Default::default(),
+        });
+        let sink = job.add(PhysicalOp::ResultSink);
+        job.connect(scan, sink, 0, ConnectorKind::ToOne);
+        let err = run_job_with(&job, &ctx, &JobOptions::default()).unwrap_err();
+        assert!(
+            matches!(&err, ExecError::InvalidJob(m) if m == "no worker pool"),
+            "got {err:?}"
+        );
     }
 
     #[test]
     fn failure_on_one_partition_cancels_slow_siblings() {
-        // Partition 0 fails almost immediately while partition 1 crawls;
-        // supervision must cancel the slow partition instead of letting the
-        // job run (or hang) to completion.
+        // One stage holds both a crawling task (each throttle partition
+        // needs ~3 s for its 3 rows) and a task failing at once (fault
+        // partition 0): both read the same scan, so they become ready
+        // together, and 4 workers run all four tasks at the same time.
+        // Supervision must cancel the throttle mid-sleep instead of
+        // letting the job run to completion.
         let ctx = cluster(2, &sample_rows());
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
@@ -1403,25 +1305,28 @@ mod tests {
             range: Default::default(),
         });
         let slow = job.add(PhysicalOp::Throttle {
-            micros_per_tuple: 50_000,
+            micros_per_tuple: 1_000_000,
         });
         let fault = job.add(PhysicalOp::FaultInject {
             partition: 0,
             after_tuples: 0,
             mode: FaultMode::Error,
         });
+        let union = job.add(PhysicalOp::Union);
         let sink = job.add(PhysicalOp::ResultSink);
         job.pipe(scan, slow);
-        job.pipe(slow, fault);
-        job.connect(fault, sink, 0, ConnectorKind::ToOne);
+        job.connect(scan, fault, 0, ConnectorKind::OneToOne);
+        job.connect(slow, union, 0, ConnectorKind::OneToOne);
+        job.connect(fault, union, 1, ConnectorKind::OneToOne);
+        job.connect(union, sink, 0, ConnectorKind::ToOne);
         let started = Instant::now();
-        let err = run_job(&job, &ctx).unwrap_err();
+        let err = run_job(&job, &ctx, &pool(4)).unwrap_err();
         assert!(
-            matches!(err, ExecError::Operator { .. } | ExecError::Cancelled),
+            matches!(&err, ExecError::Operator { partition: 0, .. }),
             "got {err:?}"
         );
         assert!(
-            started.elapsed() < Duration::from_secs(5),
+            started.elapsed() < Duration::from_millis(1_500),
             "cancellation too slow: {:?}",
             started.elapsed()
         );
@@ -1437,21 +1342,25 @@ mod tests {
         });
         let sink = job.add(PhysicalOp::ResultSink);
         job.connect(scan, sink, 0, ConnectorKind::ToOne);
-        let (_, stats) = run_job(&job, &ctx).unwrap();
+        let (_, stats) = run_job(&job, &ctx, &pool(2)).unwrap();
         let cp = stats.critical_path_tuples();
         // The sink consumes all 6 rows on one partition.
         assert!(cp >= 6, "critical path {cp}");
     }
 
-    fn pooled(pool: &Arc<crate::pool::WorkerPool>) -> JobOptions {
-        JobOptions {
-            pool: Some(pool.clone()),
-            ..JobOptions::default()
-        }
+    /// Run `job` on a 1-worker and an 8-worker pool; both must return
+    /// the same rows. Returns them with the 8-worker run's stats.
+    fn run_on_both_pool_sizes(job: &JobSpec, ctx: &ClusterContext) -> (Vec<Tuple>, JobStats) {
+        // A 1-worker pool must still complete any DAG (stage-at-a-time
+        // tasks never wait on each other).
+        let (one, _) = run_job(job, ctx, &pool(1)).unwrap();
+        let (eight, stats) = run_job(job, ctx, &pool(8)).unwrap();
+        assert_eq!(one, eight, "1 and 8 workers must agree");
+        (eight, stats)
     }
 
     #[test]
-    fn pooled_scan_matches_pipelined() {
+    fn scan_matches_across_pool_sizes() {
         let ctx = cluster(4, &sample_rows());
         let mut job = JobSpec::new();
         let scan = job.add(PhysicalOp::DatasetScan {
@@ -1464,17 +1373,14 @@ mod tests {
         let sink = job.add(PhysicalOp::ResultSink);
         job.connect(scan, sort, 0, ConnectorKind::ToOne);
         job.pipe(sort, sink);
-        let (seed_rows, _) = run_job(&job, &ctx).unwrap();
-        // A 1-worker pool must still complete any DAG (stage-at-a-time
-        // tasks never wait on each other).
-        let pool = crate::pool::WorkerPool::new(1);
-        let (pooled_rows, stats) = run_job_with(&job, &ctx, &pooled(&pool)).unwrap();
-        assert_eq!(seed_rows, pooled_rows);
+        let (rows, stats) = run_on_both_pool_sizes(&job, &ctx);
+        let ids: Vec<i64> = rows.iter().map(|t| t[0].as_i64().unwrap()).collect();
+        assert_eq!(ids, vec![1, 2, 3, 4, 5, 6]);
         assert_eq!(stats.total_output_of("dataset-scan"), 6);
     }
 
     #[test]
-    fn pooled_multi_input_join_matches_pipelined() {
+    fn multi_input_join_matches_across_pool_sizes() {
         let ctx = cluster(3, &sample_rows());
         let mut job = JobSpec::new();
         let scan_l = job.add(PhysicalOp::DatasetScan {
@@ -1497,21 +1403,28 @@ mod tests {
         job.connect(scan_r, join, 1, ConnectorKind::Hash(vec![0]));
         job.connect(join, sort, 0, ConnectorKind::ToOne);
         job.pipe(sort, sink);
-        let (seed_rows, _) = run_job(&job, &ctx).unwrap();
-        let pool = crate::pool::WorkerPool::new(2);
-        let (pooled_rows, _) = run_job_with(&job, &ctx, &pooled(&pool)).unwrap();
-        assert_eq!(seed_rows, pooled_rows);
+        let (rows, _) = run_on_both_pool_sizes(&job, &ctx);
+        // A self equi-join on the pk pairs every row with itself.
+        let pairs: Vec<(i64, i64)> = rows
+            .iter()
+            .map(|t| (t[0].as_i64().unwrap(), t[2].as_i64().unwrap()))
+            .collect();
+        assert_eq!(pairs, (1..=6).map(|id| (id, id)).collect::<Vec<_>>());
     }
 
     /// Fig 14's corner shape: a build side of the rows with pk in
     /// `build_keys`, broadcast into input 0 of a nested-loop join whose
-    /// probe side (input 1) is a full scan. Returns the job, the probe
-    /// scan and the join.
+    /// probe side (input 1) is a full scan. The build side crawls, so a
+    /// partition holding build rows finishes well after an empty one.
+    /// Returns the job, the probe scan and the join.
     fn corner_join_job(build_keys: asterix_storage::KeyRange) -> (JobSpec, OpId, OpId) {
         let mut job = JobSpec::new();
         let build = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
             range: build_keys,
+        });
+        let crawl = job.add(PhysicalOp::Throttle {
+            micros_per_tuple: 20_000,
         });
         let probe = job.add(PhysicalOp::DatasetScan {
             dataset: "ARevs".into(),
@@ -1524,7 +1437,8 @@ mod tests {
             keys: vec![SortKey::asc(0), SortKey::asc(2)],
         });
         let sink = job.add(PhysicalOp::ResultSink);
-        job.connect(build, join, 0, ConnectorKind::Broadcast);
+        job.pipe(build, crawl);
+        job.connect(crawl, join, 0, ConnectorKind::Broadcast);
         job.connect(probe, join, 1, ConnectorKind::OneToOne);
         job.connect(join, sort, 0, ConnectorKind::ToOne);
         job.pipe(sort, sink);
@@ -1539,49 +1453,52 @@ mod tests {
             lo: Bound::Included(Value::Int64(100)),
             hi: Bound::Unbounded,
         });
-        let pool = crate::pool::WorkerPool::new(1);
-        let progress = crate::progress::JobProgress::for_job(&job);
-        let options = JobOptions {
-            progress: Some(progress.clone()),
-            ..pooled(&pool)
-        };
-        let (rows, stats) = run_job_with(&job, &ctx, &options).unwrap();
-        assert!(rows.is_empty());
-        let st = &stats.per_op[&probe];
-        assert_eq!(st.name, "dataset-scan");
-        assert_eq!((st.input_tuples, st.output_tuples), (0, 0));
-        assert!(st.partition_times.is_empty(), "the probe scan ran: {st:?}");
-        let live = progress
-            .snapshot()
-            .into_iter()
-            .find(|s| s.op == probe.0)
-            .unwrap();
-        assert_eq!(
-            (live.partitions_started, live.partitions_finished, live.tuples_in, live.tuples_out),
-            (0, 0, 0, 0)
-        );
-        // The join itself ran everywhere, over an empty build side.
-        assert_eq!(stats.per_op[&join].partition_times.len(), 2);
-        // The pipelined executor still scans the probe side.
-        let (seed_rows, seed_stats) = run_job(&job, &ctx).unwrap();
-        assert!(seed_rows.is_empty());
-        assert_eq!(seed_stats.per_op[&probe].output_tuples, 6);
+        for workers in [1, 8] {
+            let progress = crate::progress::JobProgress::for_job(&job);
+            let options = JobOptions {
+                pool: Some(pool(workers)),
+                progress: Some(progress.clone()),
+                ..JobOptions::default()
+            };
+            let (rows, stats) = run_job_with(&job, &ctx, &options).unwrap();
+            assert!(rows.is_empty());
+            let st = &stats.per_op[&probe];
+            assert_eq!(st.name, "dataset-scan");
+            assert_eq!((st.input_tuples, st.output_tuples), (0, 0));
+            assert!(st.partition_times.is_empty(), "the probe scan ran: {st:?}");
+            let live = progress
+                .snapshot()
+                .into_iter()
+                .find(|s| s.op == probe.0)
+                .unwrap();
+            assert_eq!(
+                (live.partitions_started, live.partitions_finished, live.tuples_in, live.tuples_out),
+                (0, 0, 0, 0)
+            );
+            // The join itself ran everywhere, over an empty build side.
+            assert_eq!(stats.per_op[&join].partition_times.len(), 2);
+        }
     }
 
     #[test]
     fn pooled_probe_side_runs_after_a_nonempty_build_side() {
         use std::ops::Bound;
         let ctx = cluster(3, &sample_rows());
+        // Build ids 1 and 2: at least one of the 3 partitions holds no
+        // build row and finishes first.
         let (job, probe, _) = corner_join_job(asterix_storage::KeyRange {
             lo: Bound::Unbounded,
             hi: Bound::Excluded(Value::Int64(3)),
         });
-        let (seed_rows, _) = run_job(&job, &ctx).unwrap();
-        let pool = crate::pool::WorkerPool::new(1);
-        let (rows, stats) = run_job_with(&job, &ctx, &pooled(&pool)).unwrap();
-        assert_eq!(rows, seed_rows);
-        // Build ids 1, 2 against probe ids 1..=6: 5 + 4 pairs.
-        assert_eq!(rows.len(), 9);
+        let (rows, stats) = run_on_both_pool_sizes(&job, &ctx);
+        let pairs: Vec<(i64, i64)> = rows
+            .iter()
+            .map(|t| (t[0].as_i64().unwrap(), t[2].as_i64().unwrap()))
+            .collect();
+        let brute_force: Vec<(i64, i64)> = (1..=2)
+            .flat_map(|b| (1..=6).filter(move |p| b < *p).map(move |p| (b, p)))
+            .collect();
+        assert_eq!(pairs, brute_force);
         assert_eq!(stats.per_op[&probe].output_tuples, 6);
         assert_eq!(stats.total_output_of("dataset-scan"), 8);
     }
@@ -1589,7 +1506,7 @@ mod tests {
     #[test]
     fn pooled_runs_reuse_one_pool_across_jobs() {
         let ctx = cluster(2, &sample_rows());
-        let pool = crate::pool::WorkerPool::new(2);
+        let pool = pool(2);
         for _ in 0..5 {
             let mut job = JobSpec::new();
             let scan = job.add(PhysicalOp::DatasetScan {
@@ -1598,81 +1515,18 @@ mod tests {
             });
             let sink = job.add(PhysicalOp::ResultSink);
             job.connect(scan, sink, 0, ConnectorKind::ToOne);
-            let (rows, _) = run_job_with(&job, &ctx, &pooled(&pool)).unwrap();
+            let (rows, _) = run_job(&job, &ctx, &pool).unwrap();
             assert_eq!(rows.len(), 6);
         }
         // A worker decrements `busy` just *after* its task signals scope
-        // completion, so the gauge can trail `run_job_with` returning by
-        // an instant — poll briefly instead of sampling once.
+        // completion, so the gauge can trail `run_job` returning by an
+        // instant — poll briefly instead of sampling once.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while pool.busy() > 0 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
         assert_eq!(pool.busy(), 0);
         assert_eq!(pool.queued_tasks(), 0);
-    }
-
-    #[test]
-    fn pooled_error_and_panic_stay_typed() {
-        for mode in [FaultMode::Error, FaultMode::Panic] {
-            let (ctx, job) = faulty_job(mode);
-            let pool = crate::pool::WorkerPool::new(2);
-            let err = run_job_with(&job, &ctx, &pooled(&pool)).unwrap_err();
-            match (mode, &err) {
-                (FaultMode::Error, ExecError::Operator { .. })
-                | (FaultMode::Panic, ExecError::Panic { .. })
-                | (_, ExecError::Cancelled) => {}
-                other => panic!("unexpected: {other:?}"),
-            }
-            // The pool survives a failed job and can run another.
-            let ctx2 = cluster(2, &sample_rows());
-            let mut ok_job = JobSpec::new();
-            let scan = ok_job.add(PhysicalOp::DatasetScan {
-                dataset: "ARevs".into(),
-                range: Default::default(),
-            });
-            let sink = ok_job.add(PhysicalOp::ResultSink);
-            ok_job.connect(scan, sink, 0, ConnectorKind::ToOne);
-            let (rows, _) = run_job_with(&ok_job, &ctx2, &pooled(&pool)).unwrap();
-            assert_eq!(rows.len(), 6);
-        }
-    }
-
-    #[test]
-    fn pooled_deadline_produces_timeout_error() {
-        let ctx = cluster(2, &sample_rows());
-        let mut job = JobSpec::new();
-        let scan = job.add(PhysicalOp::DatasetScan {
-            dataset: "ARevs".into(),
-            range: Default::default(),
-        });
-        let slow = job.add(PhysicalOp::Throttle {
-            micros_per_tuple: 100_000,
-        });
-        let sink = job.add(PhysicalOp::ResultSink);
-        job.pipe(scan, slow);
-        job.connect(slow, sink, 0, ConnectorKind::ToOne);
-        let pool = crate::pool::WorkerPool::new(2);
-        let started = Instant::now();
-        let err = run_job_with(
-            &job,
-            &ctx,
-            &JobOptions {
-                timeout: Some(Duration::from_millis(40)),
-                pool: Some(pool),
-                ..JobOptions::default()
-            },
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, ExecError::Timeout(_)),
-            "expected timeout, got {err:?}"
-        );
-        assert!(
-            started.elapsed() < Duration::from_millis(500),
-            "timeout took {:?}",
-            started.elapsed()
-        );
     }
 
     #[test]
@@ -1685,13 +1539,12 @@ mod tests {
         });
         let sink = job.add(PhysicalOp::ResultSink);
         job.connect(scan, sink, 0, ConnectorKind::ToOne);
-        let pool = crate::pool::WorkerPool::new(2);
         // A 1-byte budget cannot absorb the scan's record frames.
         let err = run_job_with(
             &job,
             &ctx,
             &JobOptions {
-                pool: Some(pool),
+                pool: Some(pool(2)),
                 memory_budget: Some(asterix_storage::MemoryBudget::new(1)),
                 ..JobOptions::default()
             },
@@ -1726,6 +1579,7 @@ mod tests {
             &job,
             &ctx,
             &JobOptions {
+                pool: Some(pool(2)),
                 cancel: Some(token),
                 ..JobOptions::default()
             },

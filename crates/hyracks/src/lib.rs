@@ -7,9 +7,9 @@
 //! A [`job::JobSpec`] is a DAG of physical operators connected by
 //! [`job::ConnectorKind`]s. The executor ([`exec`]) instantiates every
 //! operator once per partition (the simulated cluster's node × partition
-//! grid), runs each instance on its own thread, and moves frames (shared
-//! batch slices) between instances over channels according to the
-//! connector:
+//! grid), runs each instance as a task on a shared [`WorkerPool`], and
+//! moves frames (shared batch slices) between instances over channels
+//! according to the connector:
 //!
 //! * `OneToOne` — partition-local pipeline edge ("Local" in the paper's
 //!   plan figures),
@@ -28,10 +28,8 @@
 //! sink. Per-operator runtime statistics (input/output tuple counts,
 //! wall time) feed the paper's candidate-set measurements (Table 6).
 //!
-//! Jobs run either *pipelined* (one scoped thread per operator-partition,
-//! the default) or *pooled* on a shared instance-lifetime [`WorkerPool`]
-//! with stage-at-a-time scheduling — see [`exec::run_job_with`] and
-//! [`pool`].
+//! Jobs run stage-at-a-time on the instance-lifetime [`WorkerPool`] —
+//! see [`exec::run_job_with`] and [`pool`].
 
 #![warn(missing_docs)]
 

@@ -1,10 +1,10 @@
-//! Operator implementations. Each operator instance runs on its own thread
-//! for one partition; `run_operator` is its body.
+//! Operator implementations. Each operator instance runs as one worker-pool
+//! task for one partition; `run_operator` is its body.
 //!
-//! Every receive loop and every connector send is *cancel-aware*: instead
-//! of blocking indefinitely it polls in short intervals and consults the
-//! job's [`CancelToken`], so a failure (or deadline) on any partition
-//! unwinds the whole job instead of deadlocking on full or empty channels.
+//! Every receive loop and every connector send is *cancel-aware*: it
+//! consults the job's [`CancelToken`] (a receive polls in short intervals
+//! instead of blocking indefinitely), so a failure (or deadline) on any
+//! partition unwinds the whole job.
 
 use crate::context::ClusterContext;
 use crate::error::{CancelToken, ExecError, OpError};
@@ -16,7 +16,7 @@ use crate::tuple::{
 use crate::vectorized::{eval_expr_on_batch, eval_pred_on_batch, VerifyKernel};
 use asterix_adm::{IndexKind, Value};
 use asterix_simfn::{edit_distance_t_bound, jaccard_t_bound, FunctionRegistry, FxHashMap};
-use crossbeam::channel::{Receiver, RecvTimeoutError, SendTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -30,27 +30,9 @@ use std::time::Duration;
 /// locking is involved.
 const TOKEN_MEMO_CAPACITY: usize = 256;
 
-/// How long a blocked send/receive waits before re-checking the cancel
-/// token. Bounds how stale a cancellation can go unnoticed.
+/// How long a blocked receive waits before re-checking the cancel token.
+/// Bounds how stale a cancellation can go unnoticed.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
-
-/// Send a frame, polling the cancel token while the channel is full. A
-/// disconnected consumer (error or limit downstream) is not an error:
-/// dropping the frame is correct either way.
-fn send_frame(
-    tx: &Sender<BatchSlice>,
-    mut frame: BatchSlice,
-    cancel: &CancelToken,
-) -> Result<(), ExecError> {
-    loop {
-        cancel.check()?;
-        match tx.send_timeout(frame, POLL_INTERVAL) {
-            Ok(()) => return Ok(()),
-            Err(SendTimeoutError::Timeout(f)) => frame = f,
-            Err(SendTimeoutError::Disconnected(_)) => return Ok(()),
-        }
-    }
-}
 
 /// Routes a producer partition's output slices to the consumer partitions
 /// of one edge.
@@ -144,7 +126,12 @@ impl Router {
         {
             return Err(ExecError::MemoryBudgetExceeded { used, limit });
         }
-        send_frame(&self.senders[partition], frame, &self.cancel)
+        self.cancel.check()?;
+        // Edges are unbounded, so a send never blocks. A disconnected
+        // consumer (error or limit downstream) is not an error: dropping
+        // the frame is correct either way.
+        let _ = self.senders[partition].send(frame);
+        Ok(())
     }
 }
 
@@ -847,41 +834,11 @@ pub fn run_operator(
             Ok((consumed, out.finish()))
         }
         PhysicalOp::Union => {
-            // Round-robin over all open inputs rather than draining them in
-            // order: with bounded edge channels, sequential draining can
-            // deadlock when several inputs share an upstream producer (the
-            // producer blocks on the un-drained branch).
-            let mut open: Vec<Option<&Receiver<BatchSlice>>> = inputs.iter().map(Some).collect();
-            let mut remaining = open.len();
-            while remaining > 0 {
-                cancel.check()?;
-                let mut received = false;
-                for slot in open.iter_mut() {
-                    let Some(rx) = slot else { continue };
-                    match rx.try_recv() {
-                        Ok(frame) => {
-                            received = true;
-                            forward_slice(&mut out, frame, &mut consumed)?;
-                        }
-                        Err(TryRecvError::Empty) => {}
-                        Err(TryRecvError::Disconnected) => {
-                            *slot = None;
-                            remaining -= 1;
-                        }
-                    }
-                }
-                if !received && remaining > 0 {
-                    // Nothing ready on any input: park briefly on the first
-                    // open one instead of spinning.
-                    if let Some(rx) = open.iter().flatten().next() {
-                        match rx.recv_timeout(POLL_INTERVAL) {
-                            Ok(frame) => {
-                                forward_slice(&mut out, frame, &mut consumed)?;
-                            }
-                            Err(RecvTimeoutError::Timeout)
-                            | Err(RecvTimeoutError::Disconnected) => {}
-                        }
-                    }
+            // A stage starts only once its inputs are complete and closed,
+            // so draining them one after another cannot block.
+            for rx in &inputs {
+                for slice in recv_slices(rx, cancel) {
+                    forward_slice(&mut out, slice?, &mut consumed)?;
                 }
             }
             Ok((consumed, out.finish()))

@@ -1,10 +1,8 @@
 //! Shared, instance-lifetime worker pool for query execution.
 //!
-//! The seed executor spawned one fresh OS thread per operator-partition
-//! per query (`thread::scope` in [`crate::exec`]), so 100 concurrent
-//! queries on an 8-partition instance created ~800 threads with no bound.
-//! Real Hyracks instead runs every job's tasks on a fixed set of node
-//! controller workers. This module provides that pool: a small set of
+//! Real Hyracks runs every job's tasks on a fixed set of node controller
+//! workers, so the thread count does not grow with the number of
+//! concurrent queries. This module provides that pool: a small set of
 //! long-lived threads ([`WorkerPool`]) fed from a FIFO task queue, plus
 //! the [`SchedulerConfig`] knobs the admission controller in
 //! `asterix-core` uses to bound concurrent queries and per-query memory.
@@ -15,9 +13,9 @@
 //! has finished, even if the scope body panics.
 //!
 //! Deadlock freedom: a fixed pool deadlocks if a running task can block
-//! waiting for a task that is still queued behind it. The executor's
-//! pooled mode therefore only submits a task once **all** of its inputs
-//! are fully buffered and closed (stage-at-a-time execution, see
+//! waiting for a task that is still queued behind it. The executor
+//! therefore only submits a task once **all** of its inputs are fully
+//! buffered and closed (stage-at-a-time execution, see
 //! [`crate::exec::run_job_with`]), so every task submitted here runs to
 //! completion without waiting on any other task — any pool size ≥ 1 makes
 //! progress.
@@ -39,9 +37,7 @@ use std::thread::JoinHandle;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Long-lived worker threads shared by every query on the instance.
-    /// `0` disables the scheduler entirely: queries fall back to the
-    /// unbounded per-query `thread::scope` executor with no admission
-    /// control (the seed behaviour).
+    /// `0` is read as `1`: every query runs on the pool.
     pub workers: usize,
     /// Queries allowed to execute simultaneously; arrivals beyond this
     /// wait in the admission queue.
@@ -63,21 +59,6 @@ impl Default for SchedulerConfig {
             queue_depth: 64,
             memory_budget_bytes: 512 * 1024 * 1024,
         }
-    }
-}
-
-impl SchedulerConfig {
-    /// The seed configuration: no pool, no admission control, no budget.
-    pub fn disabled() -> Self {
-        SchedulerConfig {
-            workers: 0,
-            ..SchedulerConfig::default()
-        }
-    }
-
-    /// Whether the scheduler is active (`workers > 0`).
-    pub fn enabled(&self) -> bool {
-        self.workers > 0
     }
 }
 
@@ -350,9 +331,7 @@ mod tests {
     #[test]
     fn config_defaults_and_disabled() {
         let c = SchedulerConfig::default();
-        assert!(c.enabled());
         assert!(c.workers > 0 && c.max_concurrent_queries > 0 && c.queue_depth > 0);
-        assert!(!SchedulerConfig::disabled().enabled());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use asterix_adm::{DatasetDef, IndexDef, IndexKind, Value};
 use asterix_hyracks::expr::sql_compare;
 use asterix_hyracks::{
     run_job_with, AggSpec, ClusterContext, CmpOp, ConnectorKind, ExecError, Expr, FaultMode,
-    JobOptions, JobSpec, OpId, PhysicalOp, SearchMeasure, SortKey, Tuple,
+    JobOptions, JobSpec, OpId, PhysicalOp, SearchMeasure, SortKey, Tuple, WorkerPool,
 };
 use asterix_simfn::{edit_distance_t_bound, jaccard_t_bound, FunctionRegistry};
 use asterix_storage::{index_tokens, BufferCache, Disk, PartitionStore, StorageConfig};
@@ -154,6 +154,15 @@ fn index_serves(key: &Value, measure: &SearchMeasure) -> bool {
     }
 }
 
+/// Default job options on a fresh 2-worker pool: every job here runs on
+/// the executor the engine ships.
+fn on_pool() -> JobOptions {
+    JobOptions {
+        pool: Some(WorkerPool::new(2)),
+        ..JobOptions::default()
+    }
+}
+
 /// Run `job` and require the reference answer: the same rows in the same
 /// order when `ordered`, the same multiset otherwise. A reference error
 /// must be a job error.
@@ -163,7 +172,7 @@ fn assert_reference(
     expected: &Result<Vec<Tuple>, String>,
     ordered: bool,
 ) {
-    let got = run_job_with(job, ctx, &JobOptions::default()).map(|(rows, _)| rows);
+    let got = run_job_with(job, ctx, &on_pool()).map(|(rows, _)| rows);
     match (expected, got) {
         (Ok(want), Ok(rows)) if ordered => assert_eq!(&rows, want),
         (Ok(want), Ok(rows)) => {
@@ -755,7 +764,7 @@ fn tiny_ctx() -> ClusterContext {
 }
 
 fn expect_operator_error(job: &JobSpec, want_op: &str) {
-    let err = run_job_with(job, &tiny_ctx(), &JobOptions::default())
+    let err = run_job_with(job, &tiny_ctx(), &on_pool())
         .expect_err("malformed plan must fail");
     match err {
         ExecError::Operator { ref op, .. } => {
@@ -1089,7 +1098,9 @@ proptest! {
         assert_reference(&fault_job(1), &ctx, &Ok(kept.clone()), true);
 
         // On its own partition it fails, having forwarded at most
-        // `after_tuples` rows: a prefix of the input.
+        // `after_tuples` rows: the sink sees a prefix of the input (an
+        // empty one when the failure stops the job before the sink's
+        // stage starts).
         let delivered = Arc::new(std::sync::Mutex::new(Vec::<Tuple>::new()));
         let sink_rows = Arc::clone(&delivered);
         let err = run_job_with(
@@ -1100,7 +1111,7 @@ proptest! {
                     sink_rows.lock().unwrap().extend(rows);
                     Ok(())
                 })),
-                ..JobOptions::default()
+                ..on_pool()
             },
         );
         prop_assert!(err.is_err(), "fault-inject did not fail");

@@ -16,7 +16,7 @@
 //! * [`prefix`] — prefix-filtering helpers (`prefix-len-jaccard()`,
 //!   `subset-collection()`, global token orders),
 //! * [`toccurrence`] — the *T-occurrence problem* (§2.2): lower bounds and
-//!   inverted-list merge algorithms (ScanCount, heap merge),
+//!   inverted-list merge algorithms (ScanCount, DivideSkip, intersection),
 //! * [`registry`] — the similarity-function registry, including user-defined
 //!   functions (§3.1's UDF support),
 //! * [`fxhash`] — the fast multiply-rotate hasher used by the bounded
@@ -45,8 +45,8 @@ pub use registry::{FunctionRegistry, SimilarityMeasure};
 pub use string_extra::{hamming_distance, jaro, jaro_winkler, overlap_coefficient};
 pub use toccurrence::{
     divide_skip_choose_l, edit_distance_t_bound, jaccard_t_bound, t_occurrence_divide_skip,
-    t_occurrence_divide_skip_ranks, t_occurrence_divide_skip_with_stats, t_occurrence_heap,
-    t_occurrence_intersect, t_occurrence_ranks, t_occurrence_scan_count, DivideSkipStats,
-    IntersectScratch, RankCountScratch, GALLOP_SKEW_RATIO,
+    t_occurrence_divide_skip_ranks, t_occurrence_divide_skip_with_stats, t_occurrence_intersect,
+    t_occurrence_ranks, t_occurrence_scan_count, DivideSkipStats, IntersectScratch,
+    RankCountScratch, GALLOP_SKEW_RATIO,
 };
 pub use tokenize::{for_each_word_token, gram_tokens, word_tokens};

@@ -11,18 +11,19 @@
 //!   must share `T = ceil(δ·|q|)` tokens (since `|r ∪ q| >= |q|`). Jaccard
 //!   has no corner case for `δ > 0` (§5.1.1).
 //!
-//! Three merge algorithms are provided; all are exercised by the `tocc`
-//! ablation bench:
+//! The merge algorithms:
 //!
 //! * [`t_occurrence_scan_count`] — ScanCount: one hash-count pass over all
 //!   lists,
-//! * [`t_occurrence_heap`] — a k-way heap merge over sorted lists that
-//!   skips allocation of the count table and exploits sortedness,
 //! * [`t_occurrence_divide_skip`] — DivideSkip ([20]): skips the longest
-//!   lists during the merge and verifies survivors by binary search.
+//!   lists during the merge and verifies survivors by binary search,
+//! * [`t_occurrence_intersect`] — the `T = |q|` case as a galloping list
+//!   intersection.
+//!
+//! A k-way heap merge over sorted lists is kept in this module's tests
+//! as the reference the other algorithms' proptests compare against.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::hash::Hash;
 
 /// `T = |G(q)| - k·n` for edit-distance queries; may be zero or negative
@@ -52,8 +53,7 @@ pub fn jaccard_t_bound(num_tokens: usize, delta: f64) -> i64 {
 /// Candidates are returned in *first-encounter order* over the inverted
 /// lists — the arrival order a real list merge produces, and the reason
 /// the paper's index plans sort primary keys before the primary-index
-/// search (§4.1.1). Use [`t_occurrence_heap`] when sorted output is
-/// needed directly.
+/// search (§4.1.1).
 pub fn t_occurrence_scan_count<I: Eq + Hash + Clone>(lists: &[&[I]], t: usize) -> Vec<I> {
     assert!(t >= 1, "corner case (T <= 0) must be handled by a scan plan");
     let mut counts: HashMap<&I, usize> = HashMap::new();
@@ -123,49 +123,6 @@ pub fn t_occurrence_ranks(
         counts[r as usize] = 0; // reset only the touched slots
     }
     out
-}
-
-/// Heap-based merge for *sorted* inverted lists: pops equal ids together and
-/// emits those reaching `t`. `O(total · log(#lists))`, no count table.
-pub fn t_occurrence_heap<I: Ord + Clone>(lists: &[&[I]], t: usize) -> Vec<I> {
-    assert!(t >= 1, "corner case (T <= 0) must be handled by a scan plan");
-    debug_assert!(lists
-        .iter()
-        .all(|l| l.windows(2).all(|w| w[0] <= w[1])));
-    let mut heap: BinaryHeap<Reverse<(&I, usize, usize)>> = BinaryHeap::new();
-    for (li, list) in lists.iter().enumerate() {
-        if let Some(first) = list.first() {
-            heap.push(Reverse((first, li, 0)));
-        }
-    }
-    let mut out = Vec::new();
-    while let Some(Reverse((id, li, pos))) = heap.pop() {
-        let mut count = 1;
-        advance(&mut heap, lists, li, pos);
-        while let Some(Reverse((id2, li2, pos2))) = heap.peek().copied() {
-            if id2 != id {
-                break;
-            }
-            heap.pop();
-            count += 1;
-            advance(&mut heap, lists, li2, pos2);
-        }
-        if count >= t {
-            out.push(id.clone());
-        }
-    }
-    out
-}
-
-fn advance<'a, I: Ord>(
-    heap: &mut BinaryHeap<Reverse<(&'a I, usize, usize)>>,
-    lists: &[&'a [I]],
-    li: usize,
-    pos: usize,
-) {
-    if let Some(next) = lists[li].get(pos + 1) {
-        heap.push(Reverse((next, li, pos + 1)));
-    }
 }
 
 /// Work counters reported by [`t_occurrence_divide_skip_with_stats`]:
@@ -506,6 +463,52 @@ pub fn t_occurrence_divide_skip_ranks(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Heap-based merge for *sorted* inverted lists: pops equal ids together and
+    /// emits those reaching `t`. The engine never calls it; it is the
+    /// reference the ScanCount and DivideSkip proptests compare against.
+    pub fn t_occurrence_heap<I: Ord + Clone>(lists: &[&[I]], t: usize) -> Vec<I> {
+        assert!(t >= 1, "corner case (T <= 0) must be handled by a scan plan");
+        debug_assert!(lists
+            .iter()
+            .all(|l| l.windows(2).all(|w| w[0] <= w[1])));
+        let mut heap: BinaryHeap<Reverse<(&I, usize, usize)>> = BinaryHeap::new();
+        for (li, list) in lists.iter().enumerate() {
+            if let Some(first) = list.first() {
+                heap.push(Reverse((first, li, 0)));
+            }
+        }
+        let mut out = Vec::new();
+        while let Some(Reverse((id, li, pos))) = heap.pop() {
+            let mut count = 1;
+            advance(&mut heap, lists, li, pos);
+            while let Some(Reverse((id2, li2, pos2))) = heap.peek().copied() {
+                if id2 != id {
+                    break;
+                }
+                heap.pop();
+                count += 1;
+                advance(&mut heap, lists, li2, pos2);
+            }
+            if count >= t {
+                out.push(id.clone());
+            }
+        }
+        out
+    }
+
+    fn advance<'a, I: Ord>(
+        heap: &mut BinaryHeap<Reverse<(&'a I, usize, usize)>>,
+        lists: &[&'a [I]],
+        li: usize,
+        pos: usize,
+    ) {
+        if let Some(next) = lists[li].get(pos + 1) {
+            heap.push(Reverse((next, li, pos + 1)));
+        }
+    }
 
     #[test]
     fn paper_example_marla() {

@@ -140,7 +140,8 @@ fn operator_fault_matrix_is_typed_and_recoverable() {
                 with_watchdog(label, move || {
                     let db = instance_with_reviews(60);
                     let job = job_with_fault(shape, partition, mode);
-                    let err = run_job(&job, db.cluster())
+                    let pool = db.scheduler().expect("every instance has a scheduler").pool();
+                    let err = run_job(&job, db.cluster(), pool)
                         .expect_err(&format!("{cell}: injected fault must fail the job"));
                     match mode {
                         FaultMode::Panic => assert!(
@@ -153,7 +154,7 @@ fn operator_fault_matrix_is_typed_and_recoverable() {
                         ),
                     }
                     // Supervision must not poison the cluster.
-                    let (rows, _) = run_job(&healthy_job(), db.cluster())
+                    let (rows, _) = run_job(&healthy_job(), db.cluster(), pool)
                         .expect("healthy job after failure");
                     assert_eq!(rows.len(), 60, "{cell}: cluster degraded after failure");
                 });

@@ -3,8 +3,9 @@
 //! (nested-loop vs index-nested-loop vs three-stage vs surrogate), and
 //! shared-subplan reuse does not change results. These are the properties
 //! that make the paper's Fig 24/25/27 comparisons meaningful. Nor does
-//! the executor: the pooled one skips the probe side of a nested-loop
-//! join behind an empty build side, and answers as the pipelined one.
+//! the worker-pool size: the executor skips the probe side of a
+//! nested-loop join behind an empty build side, and answers alike on 1
+//! and 8 workers.
 
 use asterix_adm::{IndexKind, Value};
 use asterix_algebricks::OptimizerConfig;
@@ -202,12 +203,20 @@ fn edit_distance_join_strategies_agree() {
 
 // ---- Build before probe ------------------------------------------------
 //
-// The pooled executor never runs the probe side of a nested-loop join
-// behind an empty build side (the Fig 14 and three-stage corner
-// branches). These check that the skipped work was dead: answers match
-// the pipelined executor, which runs every operator, and brute force.
+// The executor never runs the probe side of a nested-loop join behind an
+// empty build side (the Fig 14 and three-stage corner branches). These
+// check that the skipped work was dead: answers match brute force, on a
+// 1-worker pool and on the default 8-worker one.
 
 const RECORDS: usize = 600;
+
+/// The reference pool: one worker, so a stage's tasks run one at a time.
+fn one_worker() -> SchedulerConfig {
+    SchedulerConfig {
+        workers: 1,
+        ..SchedulerConfig::default()
+    }
+}
 
 fn indexed_instance(sched: SchedulerConfig) -> Instance {
     let mut cfg = InstanceConfig::with_partitions(2);
@@ -293,7 +302,7 @@ fn edit_join(lo: i64, hi: i64) -> String {
 #[test]
 fn index_join_without_corner_rows_never_scans_the_inner_side() {
     let pooled = indexed_instance(SchedulerConfig::default());
-    let seed = indexed_instance(SchedulerConfig::disabled());
+    let one = indexed_instance(one_worker());
     let records = amazon_reviews(RECORDS, 7);
     let (lo, hi) = (30, 40);
     assert!(
@@ -327,16 +336,16 @@ fn index_join_without_corner_rows_never_scans_the_inner_side() {
         ) >= 0.5
     });
     assert_eq!(pairs(&r.rows), expected);
-    assert_eq!(pairs(&seed.query(&q).unwrap().rows), expected);
+    assert_eq!(pairs(&one.query(&q).unwrap().rows), expected);
 }
 
 /// With corner rows in the outer window (an empty token set for
 /// Jaccard, a 1-char name for edit distance with k = 1) the corner
-/// branch runs, and both executors agree with brute force.
+/// branch runs, and 1 and 8 workers agree with brute force.
 #[test]
-fn index_join_corner_rows_match_seed_executor_and_brute_force() {
+fn index_join_corner_rows_match_across_pool_sizes_and_brute_force() {
     let pooled = indexed_instance(SchedulerConfig::default());
-    let seed = indexed_instance(SchedulerConfig::disabled());
+    let one = indexed_instance(one_worker());
     let mut records = amazon_reviews(RECORDS, 7);
     // Two corner rows inside the window, one empty-summary row outside.
     for (id, name, summary) in [(52i64, "a", ""), (55, "b", "!!"), (400, "c", "")] {
@@ -345,7 +354,7 @@ fn index_join_corner_rows_match_seed_executor_and_brute_force() {
         };
         records[id as usize] = rec.clone();
         pooled.insert("ARevs", rec.clone()).unwrap();
-        seed.insert("ARevs", rec).unwrap();
+        one.insert("ARevs", rec).unwrap();
     }
     let (lo, hi) = (50, 60);
     let jaccard = brute_force(&records, lo..hi, |o, i| {
@@ -364,7 +373,7 @@ fn index_join_corner_rows_match_seed_executor_and_brute_force() {
         assert_eq!(probes.len(), 1, "{q}");
         assert_eq!(probes[0].output_tuples, RECORDS as u64, "{q}: the inner scan must run");
         assert_eq!(pairs(&r.rows), expected, "{q}");
-        assert_eq!(pairs(&seed.query(&q).unwrap().rows), expected, "{q}");
+        assert_eq!(pairs(&one.query(&q).unwrap().rows), expected, "{q}");
     }
 }
 
@@ -402,7 +411,14 @@ fn three_stage_join_without_empty_token_sets_skips_its_corner_select() {
     assert_eq!(corner.name, "select");
     assert!(corner.partition_times.is_empty(), "the corner select ran: {corner:?}");
     assert_eq!((corner.input_tuples, corner.output_tuples), (0, 0));
-    let seed = run(SchedulerConfig::disabled());
-    assert_eq!(pairs(&pooled.rows), pairs(&seed.rows));
-    assert!(!pooled.rows.is_empty());
+    let records = amazon_reviews(120, 11);
+    let expected = brute_force(&records, 10..40, |o, i| {
+        asterix_simfn::jaccard(
+            &asterix_simfn::word_tokens(text(o, "summary")),
+            &asterix_simfn::word_tokens(text(i, "summary")),
+        ) >= 0.5
+    });
+    assert!(!expected.is_empty());
+    assert_eq!(pairs(&pooled.rows), expected);
+    assert_eq!(pairs(&run(one_worker()).rows), expected);
 }

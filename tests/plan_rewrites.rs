@@ -228,7 +228,8 @@ fn aqlplus_textual_template_executes_like_typed_rule() {
     };
     let (optimized, _) = asterix_algebricks::optimize(&plan, &catalog, &registry, &cfg, &vg);
     let job = generate_job(&optimized, true).expect("jobgen");
-    let (rows, _) = asterix_hyracks::run_job(&job, db.cluster()).expect("run");
+    let pool = db.scheduler().expect("every instance has a scheduler").pool();
+    let (rows, _) = asterix_hyracks::run_job(&job, db.cluster(), pool).expect("run");
     let mut text_pairs: Vec<(i64, i64)> = rows
         .iter()
         .map(|t| {

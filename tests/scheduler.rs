@@ -4,9 +4,11 @@
 //!
 //! Contracts pinned here:
 //!
-//! 1. The pooled executor returns byte-identical results to the seed
-//!    per-query-thread executor for the whole query-class matrix (scan,
-//!    index select, index-nested-loop join, three-stage join).
+//! 1. Query answers do not depend on the pool: a 1-worker pool without a
+//!    memory budget returns the rows of the default 8-worker pool, and
+//!    both equal a brute-force answer, for the whole query-class matrix
+//!    (scan, count, index selects, index-nested-loop join). `workers: 0`
+//!    runs on one worker.
 //! 2. Thread usage under saturation is bounded (pinned in
 //!    `scheduler_threads.rs`, a binary of its own).
 //! 3. Admission failures are *typed*: `AdmissionTimeout` for a deadline
@@ -20,37 +22,108 @@ mod scheduler_support;
 use asterix_core::{
     CoreError, Instance, InstanceConfig, QueryOptions, SchedulerConfig,
 };
+use asterix_adm::Value;
+use asterix_datagen::amazon_reviews;
 use asterix_hyracks::ExecError;
-use scheduler_support::{instance_with, matrix};
+use scheduler_support::{instance_with, matrix, RECORDS};
 use std::time::{Duration, Instant};
+
+/// The matrix query `name`'s answer, computed from the loaded records
+/// without the engine.
+fn brute_force(name: &str) -> Vec<Value> {
+    use asterix_simfn::{edit_distance, jaccard, word_tokens};
+    let records = amazon_reviews(RECORDS, 7);
+    let id = |r: &Value| r.field_path("id").as_i64().unwrap();
+    let text = |r: &'_ Value, f: &str| r.field_path(f).as_str().unwrap().to_string();
+    let ids = |keep: &dyn Fn(&Value) -> bool| -> Vec<Value> {
+        records.iter().filter(|r| keep(r)).map(|r| Value::Int64(id(r))).collect()
+    };
+    match name {
+        "scan" => ids(&|r| id(r) < 50),
+        "count" => vec![Value::Int64(records.iter().filter(|r| id(r) < 100).count() as i64)],
+        "jaccard-select" => {
+            let q = word_tokens("caho gonaha");
+            ids(&|r| jaccard(&word_tokens(&text(r, "summary")), &q) >= 0.3)
+        }
+        "ed-select" => ids(&|r| edit_distance(&text(r, "reviewerName"), "gubimo") <= 2),
+        "jaccard-join" => {
+            let mut out = Vec::new();
+            for o in records.iter().filter(|o| id(o) < 30) {
+                for i in records.iter().filter(|i| id(o) < id(i)) {
+                    let sim = jaccard(
+                        &word_tokens(&text(o, "summary")),
+                        &word_tokens(&text(i, "summary")),
+                    );
+                    if sim >= 0.8 {
+                        out.push(asterix_adm::record! {"o" => id(o), "i" => id(i)});
+                    }
+                }
+            }
+            out
+        }
+        other => panic!("no brute-force answer for {other}"),
+    }
+}
 
 #[test]
 fn pooled_results_match_unbounded_for_query_class_matrix() {
-    let pooled = instance_with(SchedulerConfig::default());
-    let seed = instance_with(SchedulerConfig::disabled());
-    assert!(pooled.scheduler().is_some());
-    assert!(seed.scheduler().is_none());
+    let eight = instance_with(SchedulerConfig::default());
+    // One worker, and no memory budget: nothing bounds the reference run.
+    let one = instance_with(SchedulerConfig {
+        workers: 1,
+        memory_budget_bytes: 0,
+        ..SchedulerConfig::default()
+    });
+    assert_eq!(one.scheduler().unwrap().pool().workers(), 1);
+    assert_eq!(eight.scheduler().unwrap().pool().workers(), 8);
     // Neither query carries an order-by, so row order is not part of the
-    // contract — the pooled executor may interleave partition outputs
-    // differently run to run. Compare as multisets.
-    let sorted = |rows: &[asterix_adm::Value]| {
+    // contract — partition outputs may interleave differently run to
+    // run. Compare as multisets.
+    let sorted = |rows: &[Value]| {
         let mut keyed: Vec<String> = rows.iter().map(asterix_adm::json::to_string).collect();
         keyed.sort();
         keyed
     };
     for (name, q) in matrix() {
-        let a = pooled.query(&q).unwrap_or_else(|e| panic!("{name} pooled: {e}"));
-        let b = seed.query(&q).unwrap_or_else(|e| panic!("{name} seed: {e}"));
+        let a = eight.query(&q).unwrap_or_else(|e| panic!("{name} 8 workers: {e}"));
+        let b = one.query(&q).unwrap_or_else(|e| panic!("{name} 1 worker: {e}"));
         assert_eq!(
             sorted(&a.rows),
             sorted(&b.rows),
-            "{name}: pooled and seed rows must agree"
+            "{name}: 1 and 8 workers must agree"
+        );
+        assert_eq!(
+            sorted(&a.rows),
+            sorted(&brute_force(name)),
+            "{name}: rows must equal the brute-force answer"
         );
         assert_eq!(
             a.plan.rewrites, b.plan.rewrites,
-            "{name}: both executors must run the same plan"
+            "{name}: both pools must run the same plan"
         );
     }
+}
+
+/// `workers: 0` is read as one worker: the instance opens and answers.
+#[test]
+fn zero_workers_runs_queries_on_one_worker() {
+    let mut cfg = InstanceConfig::with_partitions(2);
+    cfg.scheduler = SchedulerConfig {
+        workers: 0,
+        ..SchedulerConfig::default()
+    };
+    let db = Instance::new(cfg);
+    assert_eq!(db.scheduler().unwrap().pool().workers(), 1);
+    db.create_dataset("D", "id").unwrap();
+    for i in 0..10i64 {
+        db.insert("D", asterix_adm::record! {"id" => i}).unwrap();
+    }
+    let r = db
+        .query("for $t in dataset D where $t.id < 4 return $t.id")
+        .unwrap();
+    let mut ids: Vec<i64> = r.rows.iter().map(|v| v.as_i64().unwrap()).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, vec![0, 1, 2, 3]);
 }
 
 /// A UDF that sleeps per evaluated row — the occupier for admission tests.

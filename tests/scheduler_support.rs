@@ -4,7 +4,7 @@
 use asterix_core::{Instance, InstanceConfig, SchedulerConfig};
 use asterix_datagen::amazon_reviews;
 
-const RECORDS: usize = 600;
+pub const RECORDS: usize = 600;
 
 pub fn instance_with(sched: SchedulerConfig) -> Instance {
     let mut cfg = InstanceConfig::with_partitions(2);

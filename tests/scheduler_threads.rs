@@ -58,9 +58,9 @@ fn saturated_pooled_instance_keeps_thread_count_bounded() {
         done.store(true, std::sync::atomic::Ordering::Relaxed);
     });
     let peak = peak.load(std::sync::atomic::Ordering::Relaxed);
-    // Budget: the client threads themselves + the sampler + slack. The
-    // seed executor would add ~operators × partitions threads *per
-    // concurrent query* on top; the pool must not.
+    // Budget: the client threads themselves + the sampler + slack. A
+    // thread per operator instance would add ~operators × partitions
+    // threads *per concurrent query* on top; the pool must not.
     let budget = base + CLIENTS as u64 + 6;
     assert!(
         peak <= budget,
