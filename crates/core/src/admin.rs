@@ -5,18 +5,20 @@
 //!
 //! | route | method | payload |
 //! |---|---|---|
-//! | `/health` | GET | liveness + scheduler/durability gauges; `degraded` when a WAL is poisoned |
+//! | `/health` | GET | liveness + the snapshot's `scheduler`/`durability`; `degraded` when a WAL is poisoned |
 //! | `/metrics` | GET | Prometheus text exposition ([`crate::Instance::metrics_prometheus`]) |
 //! | `/metrics.json` | GET | the full metrics snapshot as JSON |
 //! | `/queries` | GET | the running-query registry: in-flight queries with live per-operator progress |
 //! | `/queries/<id>/cancel` | POST | cancel an in-flight query by `query_id` |
-//! | `/lsm` | GET | per-dataset LSM component tree + WAL/manifest stats |
-//! | `/slow` | GET | the slow-query log (summaries) |
+//! | `/lsm` | GET | the snapshot's `lsm` subtree (components, sizes, event ring) + `durability` |
+//! | `/slow` | GET | the snapshot's slow-query log (summaries with trace links) |
 //! | `/trace/<id>` | GET | Chrome trace-event JSON of a slow-logged query (Perfetto-loadable) |
 //! | `/trace/recovery` | GET | Chrome trace-event JSON of the startup recovery pass |
 //!
-//! Request parsing and its bounds belong to the server that mounts the
-//! table (the shared [`crate::http`] foundation).
+//! `/health`, `/lsm` and `/slow` are views of the one rendered metrics
+//! snapshot ([`crate::telemetry::METRICS`]), so a counter has the same
+//! name on every route. Request parsing and its bounds belong to the
+//! server that mounts the table (the shared [`crate::http`] foundation).
 
 use crate::http::Response;
 use crate::instance::Instance;
@@ -102,52 +104,36 @@ fn index_response() -> Response {
     )
 }
 
+/// Liveness: `status` (`degraded` when a WAL is poisoned), the number of
+/// running queries, and the snapshot's uptime, `scheduler` and
+/// `durability` (plus `wal_poisoned`).
 fn health_response(db: &Instance) -> Response {
-    let m = db.metrics();
+    let m = db.metrics_snapshot();
     let wal_poisoned = db.wal_poisoned();
     let status = if wal_poisoned { "degraded" } else { "ok" };
-    let s = &m.gauges.scheduler;
-    let d = &m.gauges.durability;
+    let poisoned = ("wal_poisoned".into(), Value::Boolean(wal_poisoned));
     let body = Value::record(vec![
         ("status".into(), Value::from(status)),
-        ("uptime_us".into(), Value::Int64(m.uptime_us as i64)),
-        ("telemetry_enabled".into(), Value::Boolean(m.enabled)),
         (
             "running_queries".into(),
             Value::Int64(db.running_queries().len() as i64),
         ),
-        (
-            "scheduler".into(),
-            Value::record(vec![
-                ("enabled".into(), Value::Boolean(s.enabled)),
-                ("workers".into(), Value::Int64(s.workers as i64)),
-                ("busy_workers".into(), Value::Int64(s.busy_workers as i64)),
-                ("inflight".into(), Value::Int64(s.inflight as i64)),
-                ("queued".into(), Value::Int64(s.queued as i64)),
-                (
-                    "rejected_queue_full".into(),
-                    Value::Int64(s.rejected_queue_full as i64),
-                ),
-            ]),
-        ),
-        (
-            "durability".into(),
-            Value::record(vec![
-                ("enabled".into(), Value::Boolean(d.enabled)),
-                ("wal_poisoned".into(), Value::Boolean(wal_poisoned)),
-                (
-                    "replayed_records".into(),
-                    Value::Int64(d.replayed_records as i64),
-                ),
-                ("recovery_us".into(), Value::Int64(d.recovery_us as i64)),
-                (
-                    "wal_live_bytes".into(),
-                    Value::Int64(d.wal_live_bytes as i64),
-                ),
-            ]),
-        ),
+        ("uptime_us".into(), m.field("uptime_us").clone()),
+        ("scheduler".into(), m.field("scheduler").clone()),
+        ("durability".into(), with_fields(m.field("durability"), vec![poisoned])),
     ]);
     Response::json(200, body)
+}
+
+/// The record `v` with `extra` fields added (an `extra` field replaces
+/// one of the same name).
+fn with_fields(v: &Value, extra: Vec<(String, Value)>) -> Value {
+    let mut fields = match v {
+        Value::Record(fields) => fields.clone(),
+        _ => Vec::new(),
+    };
+    fields.extend(extra);
+    Value::record(fields)
 }
 
 fn running_query_to_json(q: &RunningQuery) -> Value {
@@ -205,104 +191,30 @@ fn queries_response(db: &Instance) -> Response {
     )
 }
 
+/// The snapshot's `lsm` subtree plus its `durability` (WAL and recovery).
 fn lsm_response(db: &Instance) -> Response {
-    let m = db.metrics();
-    let g = &m.gauges;
-    let d = &g.durability;
-    let datasets = g
-        .datasets
-        .iter()
-        .map(|ds| {
-            Value::record(vec![
-                ("dataset".into(), Value::from(ds.dataset.as_str())),
-                (
-                    "indexes".into(),
-                    Value::OrderedList(
-                        ds.indexes
-                            .iter()
-                            .map(|i| {
-                                Value::record(vec![
-                                    ("name".into(), Value::from(i.name.as_str())),
-                                    ("components".into(), Value::Int64(i.components as i64)),
-                                    ("size_bytes".into(), Value::Int64(i.size_bytes as i64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    let body = Value::record(vec![
-        ("lsm_flushes".into(), Value::Int64(g.lsm_flushes as i64)),
-        ("lsm_merges".into(), Value::Int64(g.lsm_merges as i64)),
-        ("datasets".into(), Value::OrderedList(datasets)),
-        (
-            "wal".into(),
-            Value::record(vec![
-                ("enabled".into(), Value::Boolean(d.enabled)),
-                ("appends".into(), Value::Int64(d.wal_appends as i64)),
-                ("bytes_appended".into(), Value::Int64(d.wal_bytes as i64)),
-                ("live_bytes".into(), Value::Int64(d.wal_live_bytes as i64)),
-                ("fsyncs".into(), Value::Int64(d.wal_fsyncs as i64)),
-                (
-                    "group_commits".into(),
-                    Value::Int64(d.wal_group_commits as i64),
-                ),
-            ]),
-        ),
-        (
-            "recovery".into(),
-            Value::record(vec![
-                (
-                    "replayed_records".into(),
-                    Value::Int64(d.replayed_records as i64),
-                ),
-                ("recovery_us".into(), Value::Int64(d.recovery_us as i64)),
-            ]),
-        ),
-    ]);
-    Response::json(200, body)
+    let m = db.metrics_snapshot();
+    let durability = ("durability".into(), m.field("durability").clone());
+    Response::json(200, with_fields(m.field("lsm"), vec![durability]))
 }
 
+/// The snapshot's `slow_queries` subtree with each entry summarised: its
+/// plan, profile and spans give way to a link to its trace.
 fn slow_response(db: &Instance) -> Response {
-    let m = db.metrics();
-    let entries = m
-        .slow_queries
-        .iter()
-        .map(|s| {
-            Value::record(vec![
-                ("seq".into(), Value::Int64(s.seq as i64)),
-                ("query_id".into(), Value::Int64(s.query_id as i64)),
-                ("class".into(), Value::from(s.class.name())),
-                ("query".into(), Value::from(s.query.as_str())),
-                (
-                    "compile_us".into(),
-                    Value::Int64(s.compile_time.as_micros() as i64),
-                ),
-                (
-                    "execution_us".into(),
-                    Value::Int64(s.execution_time.as_micros() as i64),
-                ),
-                ("rows".into(), Value::Int64(s.rows as i64)),
-                (
-                    "trace".into(),
-                    Value::from(format!("/trace/{}", s.query_id).as_str()),
-                ),
-            ])
-        })
-        .collect();
-    Response::json(
-        200,
-        Value::record(vec![
-            (
-                "threshold_us".into(),
-                Value::Int64(m.slow_query_threshold_us as i64),
-            ),
-            ("captured".into(), Value::Int64(m.slow_captured as i64)),
-            ("entries".into(), Value::OrderedList(entries)),
-        ]),
-    )
+    let m = db.metrics_snapshot();
+    let slow = m.field("slow_queries");
+    let entries = slow.field("entries").as_list().into_iter().flatten().map(|e| {
+        let trace = format!("/trace/{}", e.field("query_id").as_i64().unwrap_or_default());
+        let mut summary = match e {
+            Value::Record(fields) => fields.clone(),
+            _ => Vec::new(),
+        };
+        summary.retain(|(k, _)| !matches!(k.as_str(), "plan" | "profile" | "spans"));
+        summary.push(("trace".into(), Value::from(trace.as_str())));
+        Value::record(summary)
+    });
+    let entries = ("entries".into(), Value::OrderedList(entries.collect()));
+    Response::json(200, with_fields(slow, vec![entries]))
 }
 
 #[cfg(test)]
@@ -359,7 +271,7 @@ mod tests {
 
         let (status, body) = call(&db, "GET", "/metrics.json");
         assert_eq!(status, 200);
-        assert_eq!(json(&body).field("telemetry_enabled").as_bool(), Some(true));
+        assert!(json(&body).field("uptime_us").as_i64().is_some());
 
         // No query in flight right now.
         let (status, body) = call(&db, "GET", "/queries");
@@ -371,6 +283,19 @@ mod tests {
         let v = json(&body);
         let datasets = v.field("datasets").as_list().unwrap();
         assert_eq!(datasets[0].field("dataset").as_str(), Some("ARevs"));
+
+        // `/lsm` and `/health` are views of the snapshot: a counter keeps
+        // its snapshot name and value on every route.
+        let snapshot = json(&call(&db, "GET", "/metrics.json").1);
+        assert_eq!(v.field("datasets"), snapshot.field_path("lsm.datasets"));
+        assert_eq!(v.field("flushes"), snapshot.field_path("lsm.flushes"));
+        assert!(v.field_path("durability.wal_bytes").as_i64().is_some());
+        assert!(v.field("event_ring").as_list().is_some());
+        let health = json(&call(&db, "GET", "/health").1);
+        assert_eq!(
+            health.field_path("scheduler.workers"),
+            snapshot.field_path("scheduler.workers")
+        );
 
         assert_eq!(call(&db, "GET", "/").0, 200);
 

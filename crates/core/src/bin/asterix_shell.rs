@@ -151,58 +151,53 @@ fn meta_command(db: &Instance, line: &str) -> bool {
         [":partitions"] => println!("{}", db.num_partitions()),
         [":metrics"] => println!("{}", asterix_adm::json::to_string(&db.metrics_snapshot())),
         [":metrics", "prom"] => print!("{}", db.metrics_prometheus()),
-        [":events"] | [":events", _] => match db.telemetry() {
-            Some(t) => {
-                let n = parts.get(1).and_then(|s| s.parse().ok()).unwrap_or(10);
-                let events = t.event_log().snapshot();
-                let skip = events.len().saturating_sub(n);
-                for ev in &events[skip..] {
-                    println!(
-                        "#{:<6} +{:<10} {:<15} {:<32} {} bytes, {} component(s), gen {}{}",
-                        ev.seq,
-                        format!("{}us", ev.at_us),
-                        ev.kind.name(),
-                        ev.tree,
-                        ev.bytes,
-                        ev.components,
-                        ev.generation,
-                        ev.detail
-                            .as_deref()
-                            .map(|d| format!(" — {d}"))
-                            .unwrap_or_default(),
-                    );
-                }
+        [":events"] | [":events", _] => {
+            let log = db.telemetry().event_log();
+            let n = parts.get(1).and_then(|s| s.parse().ok()).unwrap_or(10);
+            let events = log.snapshot();
+            let skip = events.len().saturating_sub(n);
+            for ev in &events[skip..] {
                 println!(
-                    "-- {} retained of {} recorded",
-                    events.len(),
-                    t.event_log().total_recorded()
+                    "#{:<6} +{:<10} {:<15} {:<32} {} bytes, {} component(s){}",
+                    ev.seq,
+                    format!("{}us", ev.at_us),
+                    ev.kind.name(),
+                    ev.tree,
+                    ev.bytes,
+                    ev.components,
+                    ev.detail
+                        .as_deref()
+                        .map(|d| format!(" — {d}"))
+                        .unwrap_or_default(),
                 );
             }
-            None => eprintln!("telemetry is disabled"),
-        },
-        [":slow"] => match db.telemetry() {
-            Some(t) => {
-                let entries = t.slow_queries();
-                for sq in &entries {
-                    println!(
-                        "#{} [{}] {:?} compile {:?} -> {} row(s)\n  {}",
-                        sq.seq,
-                        sq.class.name(),
-                        sq.execution_time,
-                        sq.compile_time,
-                        sq.rows,
-                        sq.query
-                    );
-                }
+            println!(
+                "-- {} retained of {} recorded",
+                events.len(),
+                log.total_recorded()
+            );
+        }
+        [":slow"] => {
+            let t = db.telemetry();
+            let entries = t.slow_queries();
+            for sq in &entries {
                 println!(
-                    "-- {} retained of {} captured (threshold {:?})",
-                    entries.len(),
-                    t.slow_queries_captured(),
-                    t.slow_query_threshold()
+                    "#{} [{}] {:?} compile {:?} -> {} row(s)\n  {}",
+                    sq.seq,
+                    sq.class.name(),
+                    sq.execution_time,
+                    sq.compile_time,
+                    sq.rows,
+                    sq.query
                 );
             }
-            None => eprintln!("telemetry is disabled"),
-        },
+            println!(
+                "-- {} retained of {} captured (threshold {:?})",
+                entries.len(),
+                t.slow_queries_captured(),
+                t.slow_query_threshold()
+            );
+        }
         [":create", ds, pk] => match db.create_dataset(ds, pk) {
             Ok(()) => println!("created dataset {ds} (pk {pk})"),
             Err(e) => eprintln!("error: {e}"),

@@ -6,16 +6,11 @@ use asterix_storage::StorageConfig;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Telemetry knobs. Telemetry is **on by default** — the registry is a
-/// handful of atomics per query, the event ring is bounded, and the `e2e`
-/// benchmark reports its cost as `trace.overhead_share` — but
-/// [`TelemetryConfig::off`] turns every collection point into a no-op for
-/// instances that want the absolute minimum per-query cost.
+/// Telemetry knobs. Telemetry is always on: the registry is a handful of
+/// atomics per query, the event ring and slow-query log are bounded, and
+/// the `e2e` benchmark reports its cost as `trace.overhead_share`.
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
-    /// Master switch: `false` ⇒ no registry, no spans, no event log, no
-    /// slow-query capture; `Instance::metrics_snapshot` reports disabled.
-    pub enabled: bool,
     /// Queries whose execution time meets or exceeds this are captured
     /// (full plan + profile + spans) into the slow-query log.
     /// Overridable per query via `QueryOptions::slow_query_threshold`.
@@ -29,20 +24,9 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
-            enabled: true,
             slow_query_threshold: Duration::from_millis(250),
             event_log_capacity: 1024,
             slow_query_log_capacity: 16,
-        }
-    }
-}
-
-impl TelemetryConfig {
-    /// Telemetry fully disabled.
-    pub fn off() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            ..Self::default()
         }
     }
 }
@@ -106,7 +90,7 @@ pub struct InstanceConfig {
     pub storage: StorageConfig,
     /// Default optimizer settings (overridable per query).
     pub optimizer: OptimizerConfig,
-    /// Telemetry knobs (on by default).
+    /// Telemetry knobs (slow-query threshold, ring capacities).
     pub telemetry: TelemetryConfig,
     /// Query-scheduler knobs: shared worker pool, admission control, and
     /// the per-query memory budget. Every query runs on the pool.

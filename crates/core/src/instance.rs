@@ -163,9 +163,8 @@ pub struct Instance {
     /// One disk + buffer cache per partition (node-local storage, §2.3).
     caches: Vec<Arc<BufferCache>>,
     config: InstanceConfig,
-    /// The metrics registry + event log + slow-query log; `None` when
-    /// `TelemetryConfig::enabled` is false.
-    telemetry: Option<Arc<Telemetry>>,
+    /// The metrics registry + event log + slow-query log.
+    telemetry: Arc<Telemetry>,
     /// Shared worker pool + admission controller: every query runs on
     /// its pool.
     pub(crate) scheduler: QueryScheduler,
@@ -199,16 +198,11 @@ impl Instance {
     /// replay surviving WAL records into the memory components. An
     /// acknowledged write from the previous incarnation is never lost.
     pub fn open(mut config: InstanceConfig) -> Result<Self, CoreError> {
-        let telemetry = config
-            .telemetry
-            .enabled
-            .then(|| Arc::new(Telemetry::new(&config.telemetry, config.num_partitions)));
+        let telemetry = Arc::new(Telemetry::new(&config.telemetry, config.num_partitions));
         // Install the lifecycle event sink before the storage config is
         // cloned into any partition store, so every LSM tree reports into
         // the shared ring.
-        if let Some(t) = &telemetry {
-            config.storage.events = Some(t.event_log().clone());
-        }
+        config.storage.events = Some(telemetry.event_log().clone());
         let data_dir = config.durability.data_dir.clone();
         if data_dir.is_some() {
             // Obsolete component files must survive until the manifest
@@ -281,17 +275,10 @@ impl Instance {
             if manifest.is_some() {
                 stats.partitions_recovered += 1;
             }
-            if let Some(log) = &self.config.storage.events {
-                let tag: Arc<str> = Arc::from(format!("recovery/p{p}").as_str());
-                log.record(
-                    &tag,
-                    LsmEventKind::RecoveryStart,
-                    pd.wal().segment_bytes(),
-                    0,
-                    0,
-                    None,
-                );
-            }
+            let tag: Arc<str> = Arc::from(format!("recovery/p{p}").as_str());
+            let wal_bytes = pd.wal().segment_bytes();
+            let log = self.telemetry.event_log();
+            log.record(&tag, LsmEventKind::RecoveryStart, wal_bytes, 0, None);
             partitions.push(pd);
             manifests.push(manifest);
             wal_records.push(records);
@@ -396,14 +383,13 @@ impl Instance {
         }
         drop(replay_span);
         for (p, pd) in partitions.iter().enumerate() {
-            if let Some(log) = &self.config.storage.events {
-                let tag: Arc<str> = Arc::from(format!("recovery/p{p}").as_str());
-                let replayed = wal_records[p]
-                    .iter()
-                    .filter(|r| r.lsn > pd.flushed_lsn())
-                    .count() as u64;
-                log.record(&tag, LsmEventKind::RecoveryEnd, replayed, 0, 0, None);
-            }
+            let tag: Arc<str> = Arc::from(format!("recovery/p{p}").as_str());
+            let replayed = wal_records[p]
+                .iter()
+                .filter(|r| r.lsn > pd.flushed_lsn())
+                .count() as u64;
+            let log = self.telemetry.event_log();
+            log.record(&tag, LsmEventKind::RecoveryEnd, replayed, 0, None);
         }
 
         {
@@ -475,11 +461,10 @@ impl Instance {
     }
 
     /// The Chrome trace-event JSON of a slow-logged query, by id.
-    /// `None` when telemetry is off or the id is not (or no longer) in
-    /// the slow-query log.
+    /// `None` when the id is not (or no longer) in the slow-query log.
     pub fn slow_query_trace_chrome_json(&self, query_id: u64) -> Option<String> {
-        let t = self.telemetry.as_ref()?;
-        t.slow_queries()
+        self.telemetry
+            .slow_queries()
             .iter()
             .find(|s| s.query_id == query_id)
             .map(|s| crate::telemetry::chrome_trace_json(s.query_id, &s.spans))
@@ -527,10 +512,9 @@ impl Instance {
         // file is only deleted after the commit that drops it succeeds).
         let reclaimed = pd.commit_manifest(&manifest)?;
         if reclaimed > 0 {
-            if let Some(log) = &self.config.storage.events {
-                let tag: Arc<str> = Arc::from(format!("wal/p{pidx}").as_str());
-                log.record(&tag, LsmEventKind::WalTruncate, reclaimed, 0, 0, None);
-            }
+            let tag: Arc<str> = Arc::from(format!("wal/p{pidx}").as_str());
+            let log = self.telemetry.event_log();
+            log.record(&tag, LsmEventKind::WalTruncate, reclaimed, 0, None);
         }
         for file in obsolete {
             pd.disk().delete(file);
@@ -871,18 +855,10 @@ impl Instance {
                     None | Some(Ok(())) => break,
                     Some(Err(e)) if e.transient && attempt + 1 < MAX_ATTEMPTS => {
                         attempt += 1;
-                        if let Some(log) = &self.config.storage.events {
-                            let tag: Arc<str> =
-                                Arc::from(format!("{dataset}/p{pidx}/*").as_str());
-                            log.record(
-                                &tag,
-                                LsmEventKind::FaultRetry,
-                                0,
-                                0,
-                                0,
-                                Some(format!("flush attempt {attempt}: {e}")),
-                            );
-                        }
+                        let tag: Arc<str> = Arc::from(format!("{dataset}/p{pidx}/*").as_str());
+                        let detail = Some(format!("flush attempt {attempt}: {e}"));
+                        let log = self.telemetry.event_log();
+                        log.record(&tag, LsmEventKind::FaultRetry, 0, 0, detail);
                         std::thread::sleep(Duration::from_millis(1u64 << attempt));
                     }
                     Some(Err(e)) => return Err(e.into()),
@@ -986,20 +962,17 @@ impl Instance {
         }
     }
 
-    /// The metrics registry, when telemetry is enabled. Gives access to
-    /// the slow-query log and the LSM lifecycle event ring.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+    /// The metrics registry. Gives access to the slow-query log and the
+    /// LSM lifecycle event ring.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
     }
 
     /// A typed snapshot of every instance-wide metric: per-class query
     /// histograms, per-operator execution times, partition busy time,
     /// cache ratios, LSM gauges, the event ring, and the slow-query log.
     pub fn metrics(&self) -> MetricsSnapshot {
-        match &self.telemetry {
-            Some(t) => t.snapshot(self.instance_gauges()),
-            None => MetricsSnapshot::disabled(),
-        }
+        self.telemetry.snapshot(self.instance_gauges())
     }
 
     /// [`Instance::metrics`] rendered as an ADM/JSON record.
@@ -1228,20 +1201,17 @@ impl Instance {
         options: &QueryOptions,
         stream: Option<(ResultSink, Arc<AtomicU64>)>,
     ) -> Result<QueryResult, CoreError> {
-        // One trace per query when telemetry is on; the "query" root span
-        // covers compile + execute, with per-stage children and (via
-        // `JobOptions::trace`) per-operator-partition children under
-        // "execute".
-        let trace = self.telemetry.as_ref().map(|_| Trace::new());
-        let query_span = trace.as_ref().map(|t| t.span("query"));
+        // One trace per query: the "query" root span covers compile +
+        // execute, with per-stage children and (via `JobOptions::trace`)
+        // per-operator-partition children under "execute".
+        let trace = Trace::new();
+        let query_span = trace.span("query");
 
         let compile_started = Instant::now();
-        let (job, plan) = match self.compile_cached(aql, options, trace.as_ref()) {
+        let (job, plan) = match self.compile_cached(aql, options, Some(&trace)) {
             Ok(compiled) => compiled,
             Err(e) => {
-                if let Some(t) = &self.telemetry {
-                    t.record_compile_error();
-                }
+                self.telemetry.record_compile_error();
                 return Err(e);
             }
         };
@@ -1270,21 +1240,20 @@ impl Instance {
         // Admission sits between compile and execute: queue wait is
         // recorded in the scheduler's own histogram and deliberately
         // excluded from the per-class execution-time histogram.
-        let admit_span = trace.as_ref().map(|t| t.span("admission"));
+        let admit_span = trace.span("admission");
         let admitted = self.scheduler.admit(class, &cancel, query_id);
         drop(admit_span);
         let permit = match admitted {
             Ok(p) => p,
             Err(e) => {
                 self.ctx.clear_cancel_if(&cancel);
-                if let Some(t) = &self.telemetry {
-                    let outcome = match &e {
-                        ExecError::AdmissionTimeout(_) => QueryOutcome::Timeout,
-                        ExecError::Cancelled => QueryOutcome::Cancelled,
-                        _ => QueryOutcome::Failed,
-                    };
-                    t.record_query(class, outcome, compile_time, Duration::ZERO, 0);
-                }
+                let outcome = match &e {
+                    ExecError::AdmissionTimeout(_) => QueryOutcome::Timeout,
+                    ExecError::Cancelled => QueryOutcome::Cancelled,
+                    _ => QueryOutcome::Failed,
+                };
+                self.telemetry
+                    .record_query(class, outcome, compile_time, Duration::ZERO, 0);
                 return Err(e.into());
             }
         };
@@ -1293,18 +1262,16 @@ impl Instance {
         let exec_started = Instant::now();
         // Telemetry needs the per-query storage counters even when the
         // caller didn't ask for a profile (cache hit ratios, index funnel).
-        let counters = (options.profile || self.telemetry.is_some()).then(QueryCounters::handle);
-        let exec_span = trace.as_ref().map(|t| t.span("execute"));
+        let counters = QueryCounters::handle();
+        let exec_span = trace.span("execute");
         // Live per-operator progress, sampled by `running_queries()`
         // while the job executes.
         let progress = JobProgress::for_job(&job);
         self.registry.attach_progress(query_id, progress.clone());
         let job_options = JobOptions {
             timeout: options.timeout,
-            counters: counters.clone(),
-            trace: trace
-                .clone()
-                .zip(exec_span.as_ref().map(|s| s.id())),
+            counters: Some(counters.clone()),
+            trace: Some((trace.clone(), exec_span.id())),
             pool: Some(self.scheduler.pool().clone()),
             cancel: Some(cancel),
             memory_budget: Some(self.scheduler.memory_budget()),
@@ -1321,30 +1288,27 @@ impl Instance {
             Ok(out) => out,
             Err(e) => {
                 let err = CoreError::from(e);
-                if let Some(t) = &self.telemetry {
-                    let outcome = match &err {
-                        CoreError::Timeout(_) => QueryOutcome::Timeout,
-                        CoreError::Cancelled => QueryOutcome::Cancelled,
-                        _ => QueryOutcome::Failed,
-                    };
-                    t.record_query(class, outcome, compile_time, execution_time, 0);
-                }
+                let outcome = match &err {
+                    CoreError::Timeout(_) => QueryOutcome::Timeout,
+                    CoreError::Cancelled => QueryOutcome::Cancelled,
+                    _ => QueryOutcome::Failed,
+                };
+                self.telemetry
+                    .record_query(class, outcome, compile_time, execution_time, 0);
                 return Err(err);
             }
         };
-        let storage_snapshot = counters.map(|c| c.snapshot());
-        let profile = storage_snapshot.as_ref().map(|s| {
-            crate::QueryProfile::build(
-                query_id,
-                &job,
-                &stats,
-                *s,
-                self.lsm_totals(),
-                plan.rewrites.clone(),
-                compile_time,
-                execution_time,
-            )
-        });
+        let storage_snapshot = counters.snapshot();
+        let profile = crate::QueryProfile::build(
+            query_id,
+            &job,
+            &stats,
+            storage_snapshot,
+            self.lsm_totals(),
+            plan.rewrites.clone(),
+            compile_time,
+            execution_time,
+        );
         // Results are single-column (the translator projects the return
         // value). A streaming query already delivered its rows to the
         // caller's sink; the executor's vector is empty by construction.
@@ -1362,36 +1326,31 @@ impl Instance {
         // Close the root span before a possible slow-query capture so the
         // captured span set includes the full tree.
         drop(query_span);
-        if let Some(t) = &self.telemetry {
-            t.record_query(
+        let t = &self.telemetry;
+        t.record_query(
+            class,
+            QueryOutcome::Completed,
+            compile_time,
+            execution_time,
+            row_count,
+        );
+        t.record_job(&stats);
+        t.record_storage(&storage_snapshot);
+        let threshold = options
+            .slow_query_threshold
+            .unwrap_or_else(|| t.slow_query_threshold());
+        if execution_time >= threshold {
+            t.record_slow(
+                query_id,
+                aql,
                 class,
-                QueryOutcome::Completed,
                 compile_time,
                 execution_time,
                 row_count,
+                plan.explain.clone(),
+                profile.clone(),
+                trace.spans(),
             );
-            t.record_job(&stats);
-            if let Some(s) = &storage_snapshot {
-                t.record_storage(s);
-            }
-            let threshold = options
-                .slow_query_threshold
-                .unwrap_or_else(|| t.slow_query_threshold());
-            if execution_time >= threshold {
-                if let (Some(p), Some(tr)) = (&profile, &trace) {
-                    t.record_slow(
-                        query_id,
-                        aql,
-                        class,
-                        compile_time,
-                        execution_time,
-                        row_count,
-                        plan.explain.clone(),
-                        p.clone(),
-                        tr.spans(),
-                    );
-                }
-            }
         }
         Ok(QueryResult {
             query_id,
@@ -1403,8 +1362,8 @@ impl Instance {
             execution_time,
             // Preserve the documented contract: a profile is returned only
             // when asked for, even though telemetry collects one anyway.
-            profile: if options.profile { profile } else { None },
-            spans: trace.as_ref().map(|t| t.spans()).unwrap_or_default(),
+            profile: options.profile.then_some(profile),
+            spans: trace.spans(),
         })
     }
 

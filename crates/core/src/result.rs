@@ -85,7 +85,7 @@ pub struct QueryResult {
     /// Present when the query ran with [`QueryOptions::profile`] set.
     pub profile: Option<crate::QueryProfile>,
     /// The query's span tree (query → admission / execute → one span
-    /// per operator partition). Empty when telemetry is disabled.
+    /// per operator partition). Empty for a [`crate::PreparedQuery`] run.
     pub spans: Vec<SpanRecord>,
 }
 
@@ -94,7 +94,7 @@ impl QueryResult {
     /// the string in Perfetto (ui.perfetto.dev) or `chrome://tracing`
     /// for a flame-style timeline. The query's `query_id` becomes the
     /// trace `pid`; operator spans land on one track per partition.
-    /// Empty `spans` (telemetry off) render as a valid empty trace.
+    /// Empty `spans` render as a valid empty trace.
     pub fn trace_chrome_json(&self) -> String {
         crate::telemetry::chrome_trace_json(self.query_id, &self.spans)
     }

@@ -304,7 +304,6 @@ impl QueryScheduler {
         };
         let c = &self.inner.counters;
         SchedulerSnapshot {
-            enabled: true,
             workers: self.pool.workers() as u64,
             busy_workers: self.pool.busy() as u64,
             pool_queued_tasks: self.pool.queued_tasks() as u64,
@@ -348,13 +347,9 @@ impl Drop for AdmissionPermit {
     }
 }
 
-/// Everything the scheduler exports into the metrics snapshot. Every
-/// instance has a scheduler, so an instance's snapshot reads
-/// `enabled == true`; only the all-zero `Default` reads `false`.
+/// Everything the scheduler exports into the metrics snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct SchedulerSnapshot {
-    /// Whether an admission controller + worker pool is active.
-    pub enabled: bool,
     /// Configured worker-thread count.
     pub workers: u64,
     /// Workers running a task right now (gauge).

@@ -341,8 +341,8 @@ struct SlowLog {
     captured: u64,
 }
 
-/// The instance-wide metrics registry. One per [`crate::Instance`] (when
-/// telemetry is enabled), shared with the query path via `Arc`.
+/// The instance-wide metrics registry. One per [`crate::Instance`],
+/// shared with the query path via `Arc`.
 #[derive(Debug)]
 pub struct Telemetry {
     started: Instant,
@@ -526,7 +526,6 @@ impl Telemetry {
             .collect();
         let slow = self.slow.lock();
         MetricsSnapshot {
-            enabled: true,
             uptime_us: self.started.elapsed().as_micros() as u64,
             classes,
             compile_errors: self.compile_errors.load(Ordering::Relaxed),
@@ -627,12 +626,11 @@ pub struct PartitionSnapshot {
     pub busy_us: u64,
 }
 
-/// Everything `Instance::metrics_snapshot` exports, as a typed value so
-/// the JSON and Prometheus renderings can never disagree about content.
+/// Everything `Instance::metrics_snapshot` exports, as a typed value.
+/// The JSON and Prometheus renderings both walk [`METRICS`], so they can
+/// never disagree about content.
 #[derive(Clone, Debug)]
 pub struct MetricsSnapshot {
-    /// False on instances created with telemetry disabled (all zeros).
-    pub enabled: bool,
     /// Microseconds since the instance started.
     pub uptime_us: u64,
     /// Per-class counters and latency/compile histograms.
@@ -738,7 +736,6 @@ fn event_to_json(e: &LsmEvent) -> Value {
         ("kind".into(), Value::from(e.kind.name())),
         ("bytes".into(), Value::Int64(e.bytes as i64)),
         ("components".into(), Value::Int64(e.components as i64)),
-        ("generation".into(), Value::Int64(e.generation as i64)),
         (
             "detail".into(),
             e.detail.as_deref().map_or(Value::Null, Value::from),
@@ -746,740 +743,556 @@ fn event_to_json(e: &LsmEvent) -> Value {
     ])
 }
 
+fn slow_query_to_json(s: &SlowQuery) -> Value {
+    Value::record(vec![
+        ("seq".into(), Value::Int64(s.seq as i64)),
+        ("query_id".into(), Value::Int64(s.query_id as i64)),
+        ("query".into(), Value::from(s.query.as_str())),
+        ("class".into(), Value::from(s.class.name())),
+        (
+            "compile_us".into(),
+            Value::Int64(s.compile_time.as_micros() as i64),
+        ),
+        (
+            "execution_us".into(),
+            Value::Int64(s.execution_time.as_micros() as i64),
+        ),
+        ("rows".into(), Value::Int64(s.rows as i64)),
+        ("plan".into(), Value::from(s.plan.as_str())),
+        ("profile".into(), s.profile.to_json()),
+        (
+            "spans".into(),
+            Value::OrderedList(s.spans.iter().map(span_to_json).collect()),
+        ),
+    ])
+}
+
+fn admission_to_json(a: &crate::scheduler::AdmissionRecord) -> Value {
+    Value::record(vec![
+        ("query_id".into(), Value::Int64(a.query_id as i64)),
+        ("class".into(), Value::from(a.class.name())),
+        ("queue_wait_us".into(), Value::Int64(a.queue_wait_us as i64)),
+    ])
+}
+
+/// How a catalogue family reads in Prometheus.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MetricKind {
+    /// Only grows while the instance runs.
+    Counter,
+    /// A level sampled at snapshot time.
+    Gauge,
+    /// A [`HistogramSnapshot`]: its full record in JSON; p50/p95/p99
+    /// quantile series plus `_sum` and `_count` in Prometheus.
+    Summary,
+    /// A [`HistogramSnapshot`] exported to Prometheus as `_sum` and
+    /// `_count` only (one series pair per label set, no quantiles).
+    SumCount,
+}
+
+impl MetricKind {
+    /// The family's Prometheus `# TYPE`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Summary | MetricKind::SumCount => "summary",
+        }
+    }
+}
+
+/// One row of the metric catalogue: a metric family, under one name in
+/// the JSON snapshot and one in Prometheus.
+pub struct MetricFamily {
+    /// Where the family sits in the JSON snapshot, as a dotted path.
+    /// `<label>` inside a key stands for a label value
+    /// (`queries_by_class.<class>.completed`); `list[field]` is a list of
+    /// records, one per label value, which each record keeps in `field`
+    /// (`operators[name].exec_us`). Placeholders take the labels in order.
+    pub json: &'static str,
+    /// The Prometheus family name followed by its label names, if any
+    /// (`asterix_queries_total{class,outcome}`).
+    pub prom: &'static str,
+    /// Counter, gauge or summary.
+    pub kind: MetricKind,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    read: Reader,
+}
+
+impl MetricFamily {
+    /// The Prometheus family name, without its label names.
+    pub fn name(&self) -> &'static str {
+        self.prom.split('{').next().unwrap_or(self.prom)
+    }
+
+    /// The Prometheus label names, one per placeholder of `json`.
+    pub fn labels(&self) -> impl Iterator<Item = &'static str> {
+        let list = self.prom.split_once('{').map_or("", |(_, l)| l);
+        list.trim_end_matches('}').split(',').filter(|l| !l.is_empty())
+    }
+}
+
+/// Reads one family's samples out of a snapshot.
+type Reader = for<'a> fn(&'a MetricsSnapshot) -> Vec<Sample<'a>>;
+
+/// One sample of a family: its label values, in label order, and its value.
+struct Sample<'a> {
+    keys: Vec<Key>,
+    value: Reading<'a>,
+}
+
+/// A label value: the JSON key (or list-record id) it files a sample
+/// under, and its Prometheus spelling where that differs.
+struct Key {
+    json: Value,
+    prom: Option<&'static str>,
+}
+
+impl Key {
+    /// The label value as a JSON record key.
+    fn name(&self) -> String {
+        match self.json.as_str() {
+            Some(s) => s.to_string(),
+            None => asterix_adm::json::to_string(&self.json),
+        }
+    }
+
+    fn prom(&self) -> String {
+        self.prom.map_or_else(|| self.name(), str::to_string)
+    }
+}
+
+fn key(v: impl Into<Value>) -> Key {
+    Key { json: v.into(), prom: None }
+}
+
+enum Reading<'a> {
+    Count(u64),
+    Ratio(f64),
+    Flag(bool),
+    Hist(&'a HistogramSnapshot),
+}
+
+impl From<u64> for Reading<'_> {
+    fn from(v: u64) -> Self {
+        Reading::Count(v)
+    }
+}
+
+impl From<f64> for Reading<'_> {
+    fn from(v: f64) -> Self {
+        Reading::Ratio(v)
+    }
+}
+
+impl From<bool> for Reading<'_> {
+    fn from(v: bool) -> Self {
+        Reading::Flag(v)
+    }
+}
+
+impl<'a> From<&'a HistogramSnapshot> for Reading<'a> {
+    fn from(h: &'a HistogramSnapshot) -> Self {
+        Reading::Hist(h)
+    }
+}
+
+impl Reading<'_> {
+    fn to_json(&self) -> Value {
+        match self {
+            Reading::Count(v) => Value::Int64(*v as i64),
+            Reading::Ratio(v) => Value::double(*v),
+            Reading::Flag(v) => Value::Boolean(*v),
+            Reading::Hist(h) => h.to_json(),
+        }
+    }
+}
+
+fn one<'a>(v: impl Into<Reading<'a>>) -> Vec<Sample<'a>> {
+    vec![Sample { keys: Vec::new(), value: v.into() }]
+}
+
+fn per_class<'a, R: Into<Reading<'a>>>(
+    m: &'a MetricsSnapshot,
+    f: impl Fn(&'a ClassSnapshot) -> R,
+) -> Vec<Sample<'a>> {
+    let sample = |c: &'a ClassSnapshot| Sample {
+        keys: vec![key(c.class.name())],
+        value: f(c).into(),
+    };
+    m.classes.iter().map(sample).collect()
+}
+
+fn per_partition(m: &MetricsSnapshot, f: fn(&PartitionSnapshot) -> u64) -> Vec<Sample<'_>> {
+    let sample = |(p, s)| Sample { keys: vec![key(p as i64)], value: f(s).into() };
+    m.partitions.iter().enumerate().map(sample).collect()
+}
+
+fn per_index(m: &MetricsSnapshot, f: fn(&IndexGauge) -> u64) -> Vec<Sample<'_>> {
+    let datasets = m.gauges.datasets.iter();
+    let indexes = datasets.flat_map(|d| d.indexes.iter().map(move |i| (d, i)));
+    let sample = |(d, i): (&DatasetGauges, &IndexGauge)| Sample {
+        keys: vec![key(d.dataset.as_str()), key(i.name.as_str())],
+        value: f(i).into(),
+    };
+    indexes.map(sample).collect()
+}
+
+fn per_operator(m: &MetricsSnapshot) -> Vec<Sample<'_>> {
+    let ops = m.operators.iter();
+    ops.map(|(op, h)| Sample { keys: vec![key(op.as_str())], value: h.into() }).collect()
+}
+
+fn outcomes(m: &MetricsSnapshot) -> Vec<Sample<'_>> {
+    let mut out = Vec::new();
+    for c in &m.classes {
+        for (json, prom, v) in [
+            ("completed", None, c.completed),
+            ("failed", None, c.failed),
+            ("timeouts", Some("timeout"), c.timeouts),
+            ("cancelled", None, c.cancelled),
+        ] {
+            let keys = vec![key(c.class.name()), Key { json: json.into(), prom }];
+            out.push(Sample { keys, value: v.into() });
+        }
+    }
+    out
+}
+
+fn rejections(m: &MetricsSnapshot) -> Vec<Sample<'_>> {
+    let s = &m.gauges.scheduler;
+    let reasons = [
+        ("queue_full", Some("queue-full"), s.rejected_queue_full),
+        ("timeout", None, s.rejected_timeout),
+    ];
+    let sample = |(json, prom, v): (&str, _, u64)| Sample {
+        keys: vec![Key { json: json.into(), prom }],
+        value: v.into(),
+    };
+    reasons.into_iter().map(sample).collect()
+}
+
+const fn family(
+    kind: MetricKind,
+    json: &'static str,
+    prom: &'static str,
+    read: Reader,
+    help: &'static str,
+) -> MetricFamily {
+    MetricFamily { json, prom, kind, help, read }
+}
+
+use MetricKind::{Counter, Gauge, SumCount, Summary};
+
+/// The metric catalogue: every instance-wide metric, once. Rows are in
+/// Prometheus exposition order; `to_json` files each under its path.
+/// The slow-query entries, the LSM event ring and the recent admissions
+/// are records rather than metrics and are rendered beside it.
+#[rustfmt::skip]
+pub static METRICS: &[MetricFamily] = &[
+    family(Counter, "uptime_us", "asterix_uptime_us", |m| one(m.uptime_us),
+        "Microseconds since the instance started."),
+    family(Counter, "queries_by_class.<class>.<outcome>", "asterix_queries_total{class,outcome}",
+        outcomes,
+        "Queries by workload class and outcome."),
+    family(Counter, "compile_errors", "asterix_compile_errors_total", |m| one(m.compile_errors),
+        "Queries rejected before execution (parse/translate/schema errors)."),
+    family(Counter, "queries_by_class.<class>.rows_returned",
+        "asterix_query_rows_returned_total{class}", |m| per_class(m, |c| c.rows_returned),
+        "Rows returned by completed queries, by workload class."),
+    family(Summary, "queries_by_class.<class>.latency_us", "asterix_query_latency_us{class}",
+        |m| per_class(m, |c| &c.latency),
+        "End-to-end query execution time by workload class, in microseconds."),
+    family(Summary, "queries_by_class.<class>.compile_us", "asterix_query_compile_us{class}",
+        |m| per_class(m, |c| &c.compile),
+        "Query compile time by workload class, in microseconds."),
+    family(SumCount, "operators[name].exec_us", "asterix_operator_exec_us{op}",
+        per_operator,
+        "Per-partition operator execution time by physical operator, in microseconds."),
+    family(Counter, "partitions[partition].busy_us", "asterix_partition_busy_us{partition}",
+        |m| per_partition(m, |p| p.busy_us),
+        "Total operator busy time per partition, in microseconds."),
+    family(Counter, "partitions[partition].op_runs", "asterix_partition_op_runs_total{partition}",
+        |m| per_partition(m, |p| p.op_runs),
+        "Operator instances executed per partition."),
+    family(Counter, "storage.buffer_cache.hits", "asterix_buffer_cache_hits_total",
+        |m| one(m.gauges.buffer_cache.hits),
+        "Buffer-cache page hits across all partitions."),
+    family(Counter, "storage.buffer_cache.misses", "asterix_buffer_cache_misses_total",
+        |m| one(m.gauges.buffer_cache.misses),
+        "Buffer-cache page misses across all partitions."),
+    family(Counter, "storage.buffer_cache.evictions", "asterix_buffer_cache_evictions_total",
+        |m| one(m.gauges.buffer_cache.evictions),
+        "Buffer-cache page evictions across all partitions."),
+    family(Gauge, "storage.buffer_cache.hit_ratio", "asterix_buffer_cache_hit_ratio",
+        |m| one(ratio(m.gauges.buffer_cache.hits, m.gauges.buffer_cache.misses)),
+        "Buffer-cache hit ratio in [0, 1]."),
+    family(Counter, "storage.postings_cache.hits", "asterix_postings_cache_hits_total",
+        |m| one(m.storage.postings_cache_hits),
+        "Inverted-index postings cache hits."),
+    family(Counter, "storage.postings_cache.misses", "asterix_postings_cache_misses_total",
+        |m| one(m.storage.postings_cache_misses),
+        "Inverted-index postings cache misses."),
+    family(Gauge, "storage.postings_cache.hit_ratio", "asterix_postings_cache_hit_ratio",
+        |m| one(ratio(m.storage.postings_cache_hits, m.storage.postings_cache_misses)),
+        "Inverted-index postings cache hit ratio in [0, 1]."),
+    family(Counter, "storage.index_funnel.inverted_elements_read",
+        "asterix_inverted_elements_read_total", |m| one(m.storage.inverted_elements_read),
+        "Elements read from inverted lists (postings scanned)."),
+    family(Counter, "storage.index_funnel.toccurrence_candidates",
+        "asterix_toccurrence_candidates_total", |m| one(m.storage.toccurrence_candidates),
+        "Candidates emitted by T-occurrence searches."),
+    family(Counter, "storage.index_funnel.primary_lookups", "asterix_primary_lookups_total",
+        |m| one(m.storage.primary_lookups),
+        "Primary-index point lookups of index-search candidates."),
+    family(Counter, "storage.index_funnel.lsm_components_searched",
+        "asterix_lsm_components_searched_total", |m| one(m.storage.lsm_components_searched),
+        "LSM disk components consulted across all point lookups."),
+    family(Counter, "storage.kernels.bitparallel_ed_calls", "asterix_bitparallel_ed_calls_total",
+        |m| one(m.storage.bitparallel_ed_calls),
+        "Myers bit-parallel edit-distance kernel invocations."),
+    family(Counter, "storage.kernels.gallop_probes", "asterix_gallop_probes_total",
+        |m| one(m.storage.gallop_probes),
+        "Galloping-search probes in T-occurrence posting intersection."),
+    family(Counter, "storage.kernels.scancount_fallbacks", "asterix_scancount_fallbacks_total",
+        |m| one(m.storage.scancount_fallbacks),
+        "T-occurrence merges that fell back to scan-count."),
+    family(Counter, "plan_cache.hits", "asterix_plan_cache_hits_total",
+        |m| one(m.gauges.plan_cache_hits),
+        "Compiled-plan cache hits."),
+    family(Counter, "plan_cache.misses", "asterix_plan_cache_misses_total",
+        |m| one(m.gauges.plan_cache_misses),
+        "Compiled-plan cache misses."),
+    family(Gauge, "plan_cache.hit_ratio", "asterix_plan_cache_hit_ratio",
+        |m| one(ratio(m.gauges.plan_cache_hits, m.gauges.plan_cache_misses)),
+        "Compiled-plan cache hit ratio in [0, 1]."),
+    family(Counter, "lsm.flushes", "asterix_lsm_flushes_total", |m| one(m.gauges.lsm_flushes),
+        "LSM memory-component flushes across every tree."),
+    family(Counter, "lsm.merges", "asterix_lsm_merges_total", |m| one(m.gauges.lsm_merges),
+        "LSM disk-component merges across every tree."),
+    family(Gauge, "lsm.datasets[dataset].indexes[name].components",
+        "asterix_lsm_components{dataset,index}", |m| per_index(m, |i| i.components),
+        "Disk components per index, summed over partitions."),
+    family(Gauge, "lsm.datasets[dataset].indexes[name].size_bytes",
+        "asterix_index_size_bytes{dataset,index}", |m| per_index(m, |i| i.size_bytes),
+        "On-disk byte size per index, summed over partitions."),
+    family(Counter, "lsm.events_recorded", "asterix_lsm_events_total", |m| one(m.events_recorded),
+        "LSM lifecycle events recorded since startup (including dropped)."),
+    family(Counter, "lsm.events_dropped", "asterix_lsm_events_dropped_total",
+        |m| one(m.events_dropped),
+        "LSM lifecycle events evicted from the full event ring."),
+    family(Gauge, "lsm.events_capacity", "asterix_lsm_event_ring_capacity",
+        |m| one(m.events_capacity),
+        "Events the LSM lifecycle event ring retains."),
+    family(Counter, "slow_queries.captured", "asterix_slow_queries_total",
+        |m| one(m.slow_captured),
+        "Slow queries captured since startup (including evicted)."),
+    family(Gauge, "slow_queries.threshold_us", "asterix_slow_query_threshold_us",
+        |m| one(m.slow_query_threshold_us),
+        "Execution-time threshold for slow-query capture, in microseconds."),
+    family(Gauge, "durability.enabled", "asterix_durability_enabled",
+        |m| one(m.gauges.durability.enabled),
+        "Whether the instance persists to a data directory."),
+    family(Counter, "durability.disk_fsyncs", "asterix_disk_fsyncs_total",
+        |m| one(m.gauges.durability.disk_fsyncs),
+        "Component-file fsyncs."),
+    family(Counter, "durability.wal_appends", "asterix_wal_appends_total",
+        |m| one(m.gauges.durability.wal_appends),
+        "Records appended to the write-ahead logs."),
+    family(Counter, "durability.wal_bytes", "asterix_wal_bytes_total",
+        |m| one(m.gauges.durability.wal_bytes),
+        "Bytes appended to the write-ahead logs."),
+    family(Counter, "durability.wal_group_commits", "asterix_wal_group_commits_total",
+        |m| one(m.gauges.durability.wal_group_commits),
+        "WAL group-commit batches flushed."),
+    family(Counter, "durability.wal_fsyncs", "asterix_wal_fsyncs_total",
+        |m| one(m.gauges.durability.wal_fsyncs),
+        "WAL segment fsyncs."),
+    family(Gauge, "durability.wal_live_bytes", "asterix_wal_live_bytes",
+        |m| one(m.gauges.durability.wal_live_bytes),
+        "Bytes currently held in live WAL segments."),
+    family(Gauge, "durability.replayed_records", "asterix_recovery_replayed_records",
+        |m| one(m.gauges.durability.replayed_records),
+        "WAL records replayed by the last startup recovery."),
+    family(Gauge, "durability.recovery_us", "asterix_recovery_us",
+        |m| one(m.gauges.durability.recovery_us),
+        "Wall-clock time of the last startup recovery, in microseconds."),
+    family(Gauge, "scheduler.workers", "asterix_scheduler_workers",
+        |m| one(m.gauges.scheduler.workers),
+        "Configured worker-thread count."),
+    family(Gauge, "scheduler.busy_workers", "asterix_scheduler_busy_workers",
+        |m| one(m.gauges.scheduler.busy_workers),
+        "Workers running a task right now."),
+    family(Gauge, "scheduler.pool_queued_tasks", "asterix_scheduler_pool_queued_tasks",
+        |m| one(m.gauges.scheduler.pool_queued_tasks),
+        "Operator tasks waiting in the worker pool's queue."),
+    family(Gauge, "scheduler.utilization", "asterix_scheduler_utilization",
+        |m| one(m.gauges.scheduler.utilization()),
+        "Fraction of workers busy, in [0, 1]."),
+    family(Gauge, "scheduler.max_concurrent_queries", "asterix_scheduler_max_concurrent_queries",
+        |m| one(m.gauges.scheduler.max_concurrent_queries),
+        "Configured cap on concurrently executing queries."),
+    family(Gauge, "scheduler.queue_depth", "asterix_scheduler_queue_depth",
+        |m| one(m.gauges.scheduler.queue_depth),
+        "Configured admission-queue capacity."),
+    family(Gauge, "scheduler.memory_budget_bytes", "asterix_scheduler_memory_budget_bytes",
+        |m| one(m.gauges.scheduler.memory_budget_bytes),
+        "Configured per-query memory budget, in bytes (0 = unlimited)."),
+    family(Gauge, "scheduler.inflight", "asterix_scheduler_inflight_queries",
+        |m| one(m.gauges.scheduler.inflight),
+        "Queries currently executing under an admission permit."),
+    family(Gauge, "scheduler.queued", "asterix_scheduler_queued_queries",
+        |m| one(m.gauges.scheduler.queued),
+        "Queries currently waiting for admission."),
+    family(Counter, "scheduler.admitted", "asterix_scheduler_admitted_total",
+        |m| one(m.gauges.scheduler.admitted),
+        "Queries ever admitted."),
+    family(Counter, "scheduler.queued_total", "asterix_scheduler_queued_total",
+        |m| one(m.gauges.scheduler.queued_total),
+        "Queries that waited in the admission queue before their outcome."),
+    family(Counter, "scheduler.rejected_<reason>", "asterix_scheduler_rejected_total{reason}",
+        rejections,
+        "Admission rejections by reason."),
+    family(Counter, "scheduler.cancelled_while_queued",
+        "asterix_scheduler_cancelled_while_queued_total",
+        |m| one(m.gauges.scheduler.cancelled_while_queued),
+        "Queued queries cancelled before admission."),
+    family(Summary, "scheduler.queue_wait_us", "asterix_scheduler_queue_wait_us",
+        |m| one(&m.gauges.scheduler.queue_wait),
+        "Admission queue wait time, in microseconds (immediate admits record 0)."),
+];
+
+/// File `value` under the catalogue path `path` in the record `root`,
+/// filling the path's placeholders with `keys` in order and creating the
+/// records and lists on the way. With too few keys it stops at the first
+/// placeholder it cannot fill; with no value it sets no leaf.
+fn file(root: &mut Value, path: &str, keys: &[Key], value: Option<Value>) {
+    let mut keys = keys.iter();
+    let mut node = root;
+    let mut segments = path.split('.').peekable();
+    while let Some(seg) = segments.next() {
+        if let Some((list, id)) = seg.strip_suffix(']').and_then(|s| s.split_once('[')) {
+            let Value::OrderedList(items) = field_mut(node, list, || Value::OrderedList(Vec::new()))
+            else {
+                unreachable!("{path}: `{list}` is a list")
+            };
+            let Some(k) = keys.next() else { return };
+            let at = match items.iter().position(|i| i.field(id) == &k.json) {
+                Some(at) => at,
+                None => {
+                    items.push(Value::record(vec![(id.to_string(), k.json.clone())]));
+                    items.len() - 1
+                }
+            };
+            node = &mut items[at];
+            continue;
+        }
+        let name = match seg.split_once('<') {
+            Some((before, rest)) => {
+                let Some(k) = keys.next() else { return };
+                let after = rest.split_once('>').map_or("", |(_, a)| a);
+                format!("{before}{}{after}", k.name())
+            }
+            None => seg.to_string(),
+        };
+        if segments.peek().is_none() {
+            if let Some(v) = value {
+                *field_mut(node, &name, || Value::Null) = v;
+            }
+            return;
+        }
+        node = field_mut(node, &name, || Value::record(Vec::new()));
+    }
+}
+
+/// The field `name` of the record `node`, inserted with `empty()` (in
+/// key order, as `Value::record` keeps it) when absent.
+fn field_mut<'v>(node: &'v mut Value, name: &str, empty: fn() -> Value) -> &'v mut Value {
+    let Value::Record(fields) = node else {
+        unreachable!("catalogue paths descend through records")
+    };
+    let at = match fields.binary_search_by(|(k, _)| k.as_str().cmp(name)) {
+        Ok(at) => at,
+        Err(at) => {
+            fields.insert(at, (name.to_string(), empty()));
+            at
+        }
+    };
+    &mut fields[at].1
+}
+
+/// One Prometheus series line.
+fn series(out: &mut String, name: &str, labels: &[String], value: impl std::fmt::Display) {
+    if labels.is_empty() {
+        out.push_str(&format!("{name} {value}\n"));
+    } else {
+        out.push_str(&format!("{name}{{{}}} {value}\n", labels.join(",")));
+    }
+}
+
 impl MetricsSnapshot {
-    /// The snapshot of a telemetry-disabled instance.
-    pub fn disabled() -> MetricsSnapshot {
-        MetricsSnapshot {
-            enabled: false,
-            uptime_us: 0,
-            classes: Vec::new(),
-            compile_errors: 0,
-            operators: Vec::new(),
-            partitions: Vec::new(),
-            storage: StorageProfile::default(),
-            gauges: InstanceGauges::default(),
-            events_capacity: 0,
-            events_recorded: 0,
-            events_dropped: 0,
-            events: Vec::new(),
-            slow_query_threshold_us: 0,
-            slow_captured: 0,
-            slow_queries: Vec::new(),
-        }
-    }
-
     /// The full snapshot as an ADM record (serialize with
-    /// [`asterix_adm::json::to_string`]). Every key is always present —
-    /// zero values are emitted, never dropped — so consecutive snapshots
-    /// are diffable field-by-field.
+    /// [`asterix_adm::json::to_string`]): every [`METRICS`] family under
+    /// its path, plus the slow-query entries, event ring and recent
+    /// admissions. Every key is always present — zero values are
+    /// emitted, never dropped — so consecutive snapshots are diffable
+    /// field-by-field.
     pub fn to_json(&self) -> Value {
-        if !self.enabled {
-            return Value::record(vec![("telemetry_enabled".into(), Value::Boolean(false))]);
+        let mut root = Value::record(Vec::new());
+        for family in METRICS {
+            // Creates the containers even when there is no sample yet
+            // (`operators` before the first query).
+            file(&mut root, family.json, &[], None);
+            for s in (family.read)(self) {
+                file(&mut root, family.json, &s.keys, Some(s.value.to_json()));
+            }
         }
-        let classes = Value::record(
-            self.classes
-                .iter()
-                .map(|c| {
-                    (
-                        c.class.name().to_string(),
-                        Value::record(vec![
-                            ("completed".into(), Value::Int64(c.completed as i64)),
-                            ("failed".into(), Value::Int64(c.failed as i64)),
-                            ("timeouts".into(), Value::Int64(c.timeouts as i64)),
-                            ("cancelled".into(), Value::Int64(c.cancelled as i64)),
-                            ("rows_returned".into(), Value::Int64(c.rows_returned as i64)),
-                            ("latency_us".into(), c.latency.to_json()),
-                            ("compile_us".into(), c.compile.to_json()),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let operators = Value::OrderedList(
-            self.operators
-                .iter()
-                .map(|(name, h)| {
-                    Value::record(vec![
-                        ("name".into(), Value::from(name.as_str())),
-                        ("exec_us".into(), h.to_json()),
-                    ])
-                })
-                .collect(),
-        );
-        let partitions = Value::OrderedList(
-            self.partitions
-                .iter()
-                .enumerate()
-                .map(|(p, s)| {
-                    Value::record(vec![
-                        ("partition".into(), Value::Int64(p as i64)),
-                        ("op_runs".into(), Value::Int64(s.op_runs as i64)),
-                        ("busy_us".into(), Value::Int64(s.busy_us as i64)),
-                    ])
-                })
-                .collect(),
-        );
-        let storage = Value::record(vec![
-            (
-                "buffer_cache".into(),
-                Value::record(vec![
-                    ("hits".into(), Value::Int64(self.gauges.buffer_cache.hits as i64)),
-                    (
-                        "misses".into(),
-                        Value::Int64(self.gauges.buffer_cache.misses as i64),
-                    ),
-                    (
-                        "evictions".into(),
-                        Value::Int64(self.gauges.buffer_cache.evictions as i64),
-                    ),
-                    (
-                        "hit_ratio".into(),
-                        Value::double(ratio(
-                            self.gauges.buffer_cache.hits,
-                            self.gauges.buffer_cache.misses,
-                        )),
-                    ),
-                ]),
-            ),
-            (
-                "postings_cache".into(),
-                Value::record(vec![
-                    (
-                        "hits".into(),
-                        Value::Int64(self.storage.postings_cache_hits as i64),
-                    ),
-                    (
-                        "misses".into(),
-                        Value::Int64(self.storage.postings_cache_misses as i64),
-                    ),
-                    (
-                        "hit_ratio".into(),
-                        Value::double(ratio(
-                            self.storage.postings_cache_hits,
-                            self.storage.postings_cache_misses,
-                        )),
-                    ),
-                ]),
-            ),
-            (
-                "index_funnel".into(),
-                Value::record(vec![
-                    (
-                        "inverted_elements_read".into(),
-                        Value::Int64(self.storage.inverted_elements_read as i64),
-                    ),
-                    (
-                        "toccurrence_candidates".into(),
-                        Value::Int64(self.storage.toccurrence_candidates as i64),
-                    ),
-                    (
-                        "primary_lookups".into(),
-                        Value::Int64(self.storage.primary_lookups as i64),
-                    ),
-                    (
-                        "lsm_components_searched".into(),
-                        Value::Int64(self.storage.lsm_components_searched as i64),
-                    ),
-                ]),
-            ),
-            (
-                "kernels".into(),
-                Value::record(vec![
-                    (
-                        "bitparallel_ed_calls".into(),
-                        Value::Int64(self.storage.bitparallel_ed_calls as i64),
-                    ),
-                    (
-                        "gallop_probes".into(),
-                        Value::Int64(self.storage.gallop_probes as i64),
-                    ),
-                    (
-                        "scancount_fallbacks".into(),
-                        Value::Int64(self.storage.scancount_fallbacks as i64),
-                    ),
-                ]),
-            ),
-        ]);
-        let plan_cache = Value::record(vec![
-            (
-                "hits".into(),
-                Value::Int64(self.gauges.plan_cache_hits as i64),
-            ),
-            (
-                "misses".into(),
-                Value::Int64(self.gauges.plan_cache_misses as i64),
-            ),
-            (
-                "hit_ratio".into(),
-                Value::double(ratio(
-                    self.gauges.plan_cache_hits,
-                    self.gauges.plan_cache_misses,
-                )),
-            ),
-        ]);
-        let datasets = Value::OrderedList(
-            self.gauges
-                .datasets
-                .iter()
-                .map(|d| {
-                    Value::record(vec![
-                        ("dataset".into(), Value::from(d.dataset.as_str())),
-                        (
-                            "indexes".into(),
-                            Value::OrderedList(
-                                d.indexes
-                                    .iter()
-                                    .map(|i| {
-                                        Value::record(vec![
-                                            ("name".into(), Value::from(i.name.as_str())),
-                                            (
-                                                "components".into(),
-                                                Value::Int64(i.components as i64),
-                                            ),
-                                            (
-                                                "size_bytes".into(),
-                                                Value::Int64(i.size_bytes as i64),
-                                            ),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        let lsm = Value::record(vec![
-            ("flushes".into(), Value::Int64(self.gauges.lsm_flushes as i64)),
-            ("merges".into(), Value::Int64(self.gauges.lsm_merges as i64)),
-            ("datasets".into(), datasets),
-            (
-                "events_capacity".into(),
-                Value::Int64(self.events_capacity as i64),
-            ),
-            (
-                "events_recorded".into(),
-                Value::Int64(self.events_recorded as i64),
-            ),
-            (
-                "events_dropped".into(),
-                Value::Int64(self.events_dropped as i64),
-            ),
-            (
-                "event_ring".into(),
-                Value::OrderedList(self.events.iter().map(event_to_json).collect()),
-            ),
-        ]);
-        let slow = Value::record(vec![
-            (
-                "threshold_us".into(),
-                Value::Int64(self.slow_query_threshold_us as i64),
-            ),
-            ("captured".into(), Value::Int64(self.slow_captured as i64)),
-            (
-                "entries".into(),
-                Value::OrderedList(
-                    self.slow_queries
-                        .iter()
-                        .map(|s| {
-                            Value::record(vec![
-                                ("seq".into(), Value::Int64(s.seq as i64)),
-                                ("query_id".into(), Value::Int64(s.query_id as i64)),
-                                ("query".into(), Value::from(s.query.as_str())),
-                                ("class".into(), Value::from(s.class.name())),
-                                (
-                                    "compile_us".into(),
-                                    Value::Int64(s.compile_time.as_micros() as i64),
-                                ),
-                                (
-                                    "execution_us".into(),
-                                    Value::Int64(s.execution_time.as_micros() as i64),
-                                ),
-                                ("rows".into(), Value::Int64(s.rows as i64)),
-                                ("plan".into(), Value::from(s.plan.as_str())),
-                                ("profile".into(), s.profile.to_json()),
-                                (
-                                    "spans".into(),
-                                    Value::OrderedList(s.spans.iter().map(span_to_json).collect()),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        let sched = &self.gauges.scheduler;
-        let scheduler = Value::record(vec![
-            ("enabled".into(), Value::Boolean(sched.enabled)),
-            ("workers".into(), Value::Int64(sched.workers as i64)),
-            (
-                "busy_workers".into(),
-                Value::Int64(sched.busy_workers as i64),
-            ),
-            (
-                "pool_queued_tasks".into(),
-                Value::Int64(sched.pool_queued_tasks as i64),
-            ),
-            ("utilization".into(), Value::double(sched.utilization())),
-            (
-                "max_concurrent_queries".into(),
-                Value::Int64(sched.max_concurrent_queries as i64),
-            ),
-            ("queue_depth".into(), Value::Int64(sched.queue_depth as i64)),
-            (
-                "memory_budget_bytes".into(),
-                Value::Int64(sched.memory_budget_bytes as i64),
-            ),
-            ("inflight".into(), Value::Int64(sched.inflight as i64)),
-            ("queued".into(), Value::Int64(sched.queued as i64)),
-            ("admitted".into(), Value::Int64(sched.admitted as i64)),
-            (
-                "queued_total".into(),
-                Value::Int64(sched.queued_total as i64),
-            ),
-            (
-                "rejected_queue_full".into(),
-                Value::Int64(sched.rejected_queue_full as i64),
-            ),
-            (
-                "rejected_timeout".into(),
-                Value::Int64(sched.rejected_timeout as i64),
-            ),
-            (
-                "cancelled_while_queued".into(),
-                Value::Int64(sched.cancelled_while_queued as i64),
-            ),
-            ("queue_wait_us".into(), sched.queue_wait.to_json()),
-            (
-                "recent_admissions".into(),
-                Value::OrderedList(
-                    sched
-                        .recent_admissions
-                        .iter()
-                        .map(|a| {
-                            Value::record(vec![
-                                ("query_id".into(), Value::Int64(a.query_id as i64)),
-                                ("class".into(), Value::from(a.class.name())),
-                                (
-                                    "queue_wait_us".into(),
-                                    Value::Int64(a.queue_wait_us as i64),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        let dur = &self.gauges.durability;
-        let durability = Value::record(vec![
-            ("enabled".into(), Value::Boolean(dur.enabled)),
-            (
-                "disk_fsyncs".into(),
-                Value::Int64(dur.disk_fsyncs as i64),
-            ),
-            ("wal_appends".into(), Value::Int64(dur.wal_appends as i64)),
-            ("wal_bytes".into(), Value::Int64(dur.wal_bytes as i64)),
-            (
-                "wal_group_commits".into(),
-                Value::Int64(dur.wal_group_commits as i64),
-            ),
-            ("wal_fsyncs".into(), Value::Int64(dur.wal_fsyncs as i64)),
-            (
-                "wal_live_bytes".into(),
-                Value::Int64(dur.wal_live_bytes as i64),
-            ),
-            (
-                "replayed_records".into(),
-                Value::Int64(dur.replayed_records as i64),
-            ),
-            ("recovery_us".into(), Value::Int64(dur.recovery_us as i64)),
-        ]);
-        Value::record(vec![
-            ("telemetry_enabled".into(), Value::Boolean(true)),
-            ("uptime_us".into(), Value::Int64(self.uptime_us as i64)),
-            ("queries_by_class".into(), classes),
-            (
-                "compile_errors".into(),
-                Value::Int64(self.compile_errors as i64),
-            ),
-            ("operators".into(), operators),
-            ("partitions".into(), partitions),
-            ("scheduler".into(), scheduler),
-            ("storage".into(), storage),
-            ("plan_cache".into(), plan_cache),
-            ("lsm".into(), lsm),
-            ("durability".into(), durability),
-            ("slow_queries".into(), slow),
-        ])
+        let admissions = &self.gauges.scheduler.recent_admissions;
+        for (path, items) in [
+            ("scheduler.recent_admissions", admissions.iter().map(admission_to_json).collect()),
+            ("lsm.event_ring", self.events.iter().map(event_to_json).collect()),
+            ("slow_queries.entries", self.slow_queries.iter().map(slow_query_to_json).collect()),
+        ] {
+            file(&mut root, path, &[], Some(Value::OrderedList(items)));
+        }
+        root
     }
 
-    /// Prometheus text exposition (counters and summary quantiles; one
-    /// metric family per line group). Class, operator, dataset, and index
-    /// names become labels (escaped per the exposition format). Every
-    /// family carries a `# HELP` line immediately before its `# TYPE`.
+    /// Prometheus text exposition of every [`METRICS`] family: a
+    /// `# HELP` line immediately before each `# TYPE`, then the series.
+    /// Class, operator, partition, dataset and index names become labels
+    /// (escaped per the exposition format).
     pub fn to_prometheus(&self) -> String {
-        let mut w = PromWriter::default();
-        w.scalar(
-            "asterix_telemetry_enabled",
-            "gauge",
-            "Whether the telemetry registry is active (0 = all other series absent).",
-            if self.enabled { 1 } else { 0 },
-        );
-        if !self.enabled {
-            return w.out;
-        }
-        w.scalar(
-            "asterix_uptime_us",
-            "counter",
-            "Microseconds since the instance started.",
-            self.uptime_us,
-        );
-        w.family(
-            "asterix_queries_total",
-            "counter",
-            "Queries by workload class and outcome.",
-        );
-        for c in &self.classes {
-            let name = c.class.name();
-            for (outcome, v) in [
-                ("completed", c.completed),
-                ("failed", c.failed),
-                ("timeout", c.timeouts),
-                ("cancelled", c.cancelled),
-            ] {
-                w.sample(format!(
-                    "asterix_queries_total{{class=\"{}\",outcome=\"{outcome}\"}} {v}",
-                    prom_escape_label(name)
-                ));
+        let mut out = String::new();
+        for family in METRICS {
+            let (name, kind) = (family.name(), family.kind.name());
+            out.push_str(&format!("# HELP {name} {}\n# TYPE {name} {kind}\n", family.help));
+            for s in (family.read)(self) {
+                let labels: Vec<String> = family
+                    .labels()
+                    .zip(&s.keys)
+                    .map(|(l, k)| format!("{l}=\"{}\"", prom_escape_label(&k.prom())))
+                    .collect();
+                match s.value {
+                    Reading::Hist(h) => {
+                        if family.kind == Summary {
+                            for q in [0.5, 0.95, 0.99] {
+                                let mut with_q = labels.clone();
+                                with_q.push(format!("quantile=\"{q}\""));
+                                series(&mut out, name, &with_q, h.percentile_us(q));
+                            }
+                        }
+                        series(&mut out, &format!("{name}_sum"), &labels, h.sum);
+                        series(&mut out, &format!("{name}_count"), &labels, h.count);
+                    }
+                    Reading::Count(v) => series(&mut out, name, &labels, v),
+                    Reading::Ratio(v) => series(&mut out, name, &labels, v),
+                    Reading::Flag(v) => series(&mut out, name, &labels, u8::from(v)),
+                }
             }
         }
-        w.scalar(
-            "asterix_compile_errors_total",
-            "counter",
-            "Queries rejected before execution (parse/translate/schema errors).",
-            self.compile_errors,
-        );
-        w.family(
-            "asterix_query_rows_returned_total",
-            "counter",
-            "Rows returned by completed queries, by workload class.",
-        );
-        for c in &self.classes {
-            w.sample(format!(
-                "asterix_query_rows_returned_total{{class=\"{}\"}} {}",
-                prom_escape_label(c.class.name()),
-                c.rows_returned
-            ));
-        }
-        w.family(
-            "asterix_query_latency_us",
-            "summary",
-            "End-to-end query execution time by workload class, in microseconds.",
-        );
-        for c in &self.classes {
-            let name = prom_escape_label(c.class.name());
-            for q in [0.5, 0.95, 0.99] {
-                w.sample(format!(
-                    "asterix_query_latency_us{{class=\"{name}\",quantile=\"{q}\"}} {}",
-                    c.latency.percentile_us(q)
-                ));
-            }
-            w.sample(format!(
-                "asterix_query_latency_us_sum{{class=\"{name}\"}} {}",
-                c.latency.sum
-            ));
-            w.sample(format!(
-                "asterix_query_latency_us_count{{class=\"{name}\"}} {}",
-                c.latency.count
-            ));
-        }
-        w.family(
-            "asterix_operator_exec_us",
-            "summary",
-            "Per-partition operator execution time by physical operator, in microseconds.",
-        );
-        for (op, h) in &self.operators {
-            let op = prom_escape_label(op);
-            w.sample(format!("asterix_operator_exec_us_sum{{op=\"{op}\"}} {}", h.sum));
-            w.sample(format!(
-                "asterix_operator_exec_us_count{{op=\"{op}\"}} {}",
-                h.count
-            ));
-        }
-        w.family(
-            "asterix_partition_busy_us",
-            "counter",
-            "Total operator busy time per partition, in microseconds.",
-        );
-        for (p, s) in self.partitions.iter().enumerate() {
-            w.sample(format!(
-                "asterix_partition_busy_us{{partition=\"{p}\"}} {}",
-                s.busy_us
-            ));
-        }
-        w.scalar(
-            "asterix_buffer_cache_hits_total",
-            "counter",
-            "Buffer-cache page hits across all partitions.",
-            self.gauges.buffer_cache.hits,
-        );
-        w.scalar(
-            "asterix_buffer_cache_misses_total",
-            "counter",
-            "Buffer-cache page misses across all partitions.",
-            self.gauges.buffer_cache.misses,
-        );
-        w.scalar(
-            "asterix_buffer_cache_hit_ratio",
-            "gauge",
-            "Buffer-cache hit ratio in [0, 1].",
-            ratio(self.gauges.buffer_cache.hits, self.gauges.buffer_cache.misses),
-        );
-        w.scalar(
-            "asterix_postings_cache_hits_total",
-            "counter",
-            "Inverted-index postings cache hits.",
-            self.storage.postings_cache_hits,
-        );
-        w.scalar(
-            "asterix_postings_cache_misses_total",
-            "counter",
-            "Inverted-index postings cache misses.",
-            self.storage.postings_cache_misses,
-        );
-        w.scalar(
-            "asterix_bitparallel_ed_calls_total",
-            "counter",
-            "Myers bit-parallel edit-distance kernel invocations.",
-            self.storage.bitparallel_ed_calls,
-        );
-        w.scalar(
-            "asterix_gallop_probes_total",
-            "counter",
-            "Galloping-search probes in T-occurrence posting intersection.",
-            self.storage.gallop_probes,
-        );
-        w.scalar(
-            "asterix_scancount_fallbacks_total",
-            "counter",
-            "T-occurrence merges that fell back to scan-count.",
-            self.storage.scancount_fallbacks,
-        );
-        w.scalar(
-            "asterix_plan_cache_hits_total",
-            "counter",
-            "Compiled-plan cache hits.",
-            self.gauges.plan_cache_hits,
-        );
-        w.scalar(
-            "asterix_plan_cache_misses_total",
-            "counter",
-            "Compiled-plan cache misses.",
-            self.gauges.plan_cache_misses,
-        );
-        w.scalar(
-            "asterix_lsm_flushes_total",
-            "counter",
-            "LSM memory-component flushes across every tree.",
-            self.gauges.lsm_flushes,
-        );
-        w.scalar(
-            "asterix_lsm_merges_total",
-            "counter",
-            "LSM disk-component merges across every tree.",
-            self.gauges.lsm_merges,
-        );
-        w.family(
-            "asterix_lsm_components",
-            "gauge",
-            "Disk components per index, summed over partitions.",
-        );
-        for d in &self.gauges.datasets {
-            for i in &d.indexes {
-                w.sample(format!(
-                    "asterix_lsm_components{{dataset=\"{}\",index=\"{}\"}} {}",
-                    prom_escape_label(&d.dataset),
-                    prom_escape_label(&i.name),
-                    i.components
-                ));
-            }
-        }
-        w.family(
-            "asterix_index_size_bytes",
-            "gauge",
-            "On-disk byte size per index, summed over partitions.",
-        );
-        for d in &self.gauges.datasets {
-            for i in &d.indexes {
-                w.sample(format!(
-                    "asterix_index_size_bytes{{dataset=\"{}\",index=\"{}\"}} {}",
-                    prom_escape_label(&d.dataset),
-                    prom_escape_label(&i.name),
-                    i.size_bytes
-                ));
-            }
-        }
-        w.scalar(
-            "asterix_lsm_events_total",
-            "counter",
-            "LSM lifecycle events recorded since startup (including dropped).",
-            self.events_recorded,
-        );
-        w.scalar(
-            "asterix_slow_queries_total",
-            "counter",
-            "Slow queries captured since startup (including evicted).",
-            self.slow_captured,
-        );
-        w.scalar(
-            "asterix_slow_query_threshold_us",
-            "gauge",
-            "Execution-time threshold for slow-query capture, in microseconds.",
-            self.slow_query_threshold_us,
-        );
-        let dur = &self.gauges.durability;
-        w.scalar(
-            "asterix_durability_enabled",
-            "gauge",
-            "Whether the instance persists to a data directory.",
-            if dur.enabled { 1 } else { 0 },
-        );
-        w.scalar(
-            "asterix_disk_fsyncs_total",
-            "counter",
-            "Component-file fsyncs.",
-            dur.disk_fsyncs,
-        );
-        w.scalar(
-            "asterix_wal_appends_total",
-            "counter",
-            "Records appended to the write-ahead logs.",
-            dur.wal_appends,
-        );
-        w.scalar(
-            "asterix_wal_bytes_total",
-            "counter",
-            "Bytes appended to the write-ahead logs.",
-            dur.wal_bytes,
-        );
-        w.scalar(
-            "asterix_wal_group_commits_total",
-            "counter",
-            "WAL group-commit batches flushed.",
-            dur.wal_group_commits,
-        );
-        w.scalar(
-            "asterix_wal_fsyncs_total",
-            "counter",
-            "WAL segment fsyncs.",
-            dur.wal_fsyncs,
-        );
-        w.scalar(
-            "asterix_wal_live_bytes",
-            "gauge",
-            "Bytes currently held in live WAL segments.",
-            dur.wal_live_bytes,
-        );
-        w.scalar(
-            "asterix_recovery_replayed_records",
-            "gauge",
-            "WAL records replayed by the last startup recovery.",
-            dur.replayed_records,
-        );
-        w.scalar(
-            "asterix_recovery_us",
-            "gauge",
-            "Wall-clock time of the last startup recovery, in microseconds.",
-            dur.recovery_us,
-        );
-        let sched = &self.gauges.scheduler;
-        w.scalar(
-            "asterix_scheduler_enabled",
-            "gauge",
-            "Whether an admission controller + worker pool is active.",
-            if sched.enabled { 1 } else { 0 },
-        );
-        w.scalar(
-            "asterix_scheduler_workers",
-            "gauge",
-            "Configured worker-thread count.",
-            sched.workers,
-        );
-        w.scalar(
-            "asterix_scheduler_busy_workers",
-            "gauge",
-            "Workers running a task right now.",
-            sched.busy_workers,
-        );
-        w.scalar(
-            "asterix_scheduler_utilization",
-            "gauge",
-            "Fraction of workers busy, in [0, 1].",
-            sched.utilization(),
-        );
-        w.scalar(
-            "asterix_scheduler_inflight_queries",
-            "gauge",
-            "Queries currently executing under an admission permit.",
-            sched.inflight,
-        );
-        w.scalar(
-            "asterix_scheduler_queued_queries",
-            "gauge",
-            "Queries currently waiting for admission.",
-            sched.queued,
-        );
-        w.scalar(
-            "asterix_scheduler_admitted_total",
-            "counter",
-            "Queries ever admitted.",
-            sched.admitted,
-        );
-        w.scalar(
-            "asterix_scheduler_queued_total",
-            "counter",
-            "Queries that waited in the admission queue before their outcome.",
-            sched.queued_total,
-        );
-        w.family(
-            "asterix_scheduler_rejected_total",
-            "counter",
-            "Admission rejections by reason.",
-        );
-        w.sample(format!(
-            "asterix_scheduler_rejected_total{{reason=\"queue-full\"}} {}",
-            sched.rejected_queue_full
-        ));
-        w.sample(format!(
-            "asterix_scheduler_rejected_total{{reason=\"timeout\"}} {}",
-            sched.rejected_timeout
-        ));
-        w.scalar(
-            "asterix_scheduler_cancelled_while_queued_total",
-            "counter",
-            "Queued queries cancelled before admission.",
-            sched.cancelled_while_queued,
-        );
-        w.family(
-            "asterix_scheduler_queue_wait_us",
-            "summary",
-            "Admission queue wait time, in microseconds (immediate admits record 0).",
-        );
-        for q in [0.5, 0.95, 0.99] {
-            w.sample(format!(
-                "asterix_scheduler_queue_wait_us{{quantile=\"{q}\"}} {}",
-                sched.queue_wait.percentile_us(q)
-            ));
-        }
-        w.sample(format!(
-            "asterix_scheduler_queue_wait_us_sum {}",
-            sched.queue_wait.sum
-        ));
-        w.sample(format!(
-            "asterix_scheduler_queue_wait_us_count {}",
-            sched.queue_wait.count
-        ));
-        w.out
+        out
     }
 }
 
@@ -1496,32 +1309,6 @@ pub(crate) fn prom_escape_label(v: &str) -> String {
         }
     }
     out
-}
-
-/// Accumulates Prometheus text exposition: `family` emits the
-/// `# HELP`/`# TYPE` pair (HELP always immediately before TYPE, as
-/// conformant scrapers expect), `sample` one series line, and `scalar`
-/// a one-sample family in one call.
-#[derive(Default)]
-struct PromWriter {
-    out: String,
-}
-
-impl PromWriter {
-    fn family(&mut self, name: &str, kind: &str, help: &str) {
-        self.out
-            .push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-    }
-
-    fn sample(&mut self, line: String) {
-        self.out.push_str(&line);
-        self.out.push('\n');
-    }
-
-    fn scalar(&mut self, name: &str, kind: &str, help: &str, value: impl std::fmt::Display) {
-        self.family(name, kind, help);
-        self.sample(format!("{name} {value}"));
-    }
 }
 
 #[cfg(test)]
@@ -1585,68 +1372,99 @@ mod tests {
         assert_eq!(QueryClass::classify(&plan), QueryClass::IndexJoin);
     }
 
+    /// The value at catalogue path `path` in `v`, following the first
+    /// key that matches each `<label>` and the first record of each
+    /// list. An empty list resolves to the list itself.
+    fn resolve<'v>(v: &'v Value, path: &str) -> Option<&'v Value> {
+        let mut node = v;
+        for seg in path.split('.') {
+            if let Some((list, _)) = seg.split_once('[') {
+                let items = node.field(list).as_list()?;
+                match items.first() {
+                    Some(first) => node = first,
+                    None => return Some(node.field(list)),
+                }
+            } else if let Some((before, rest)) = seg.split_once('<') {
+                let after = rest.split_once('>').map_or("", |(_, a)| a);
+                let Value::Record(fields) = node else { return None };
+                let (_, next) = fields
+                    .iter()
+                    .find(|(k, _)| k.starts_with(before) && k.ends_with(after))?;
+                node = next;
+            } else {
+                node = node.field(seg);
+            }
+        }
+        (node != &Value::Missing).then_some(node)
+    }
+
     #[test]
     fn snapshot_emits_every_key_when_zero() {
         let t = Telemetry::new(&TelemetryConfig::default(), 2);
-        let json =
-            asterix_adm::json::to_string(&t.snapshot(InstanceGauges::default()).to_json());
-        for key in [
-            "telemetry_enabled",
-            "uptime_us",
-            "queries_by_class",
-            "\"scan\"",
-            "\"index-select\"",
-            "\"index-join\"",
-            "completed",
-            "failed",
-            "timeouts",
-            "cancelled",
-            "latency_us",
-            "compile_us",
-            "\"p50\"",
-            "\"p95\"",
-            "\"p99\"",
-            "buckets",
-            "compile_errors",
-            "operators",
-            "partitions",
-            "scheduler",
-            "workers",
-            "busy_workers",
-            "utilization",
-            "max_concurrent_queries",
-            "queue_depth",
-            "memory_budget_bytes",
-            "inflight",
-            "admitted",
-            "queued_total",
-            "rejected_queue_full",
-            "rejected_timeout",
-            "cancelled_while_queued",
-            "queue_wait_us",
-            "buffer_cache",
-            "postings_cache",
-            "hit_ratio",
-            "index_funnel",
-            "inverted_elements_read",
-            "kernels",
-            "bitparallel_ed_calls",
-            "gallop_probes",
-            "scancount_fallbacks",
-            "plan_cache",
-            "events_recorded",
-            "event_ring",
-            "durability",
-            "disk_fsyncs",
-            "wal_appends",
-            "wal_group_commits",
-            "wal_live_bytes",
-            "replayed_records",
-            "recovery_us",
-            "slow_queries",
-            "threshold_us",
-        ] {
-            assert!(json.contains(key), "snapshot JSON missing key {key}: {json}");
+        let json = t.snapshot(InstanceGauges::default()).to_json();
+        for family in METRICS {
+            assert!(
+                resolve(&json, family.json).is_some(),
+                "zero snapshot JSON has no {}: {}",
+                family.json,
+                asterix_adm::json::to_string(&json)
+            );
+        }
+        for records in ["scheduler.recent_admissions", "lsm.event_ring", "slow_queries.entries"] {
+            assert!(json.field_path(records).as_list().is_some(), "no list {records}");
+        }
+        let classes = json.field("queries_by_class");
+        for class in QueryClass::ALL {
+            for key in ["completed", "failed", "timeouts", "cancelled", "compile_us"] {
+                assert!(classes.field(class.name()).field(key) != &Value::Missing);
+            }
+        }
+        assert!(json.field_path("scheduler.rejected_queue_full").as_i64() == Some(0));
+        assert!(json.field_path("scheduler.rejected_timeout").as_i64() == Some(0));
+    }
+
+    #[test]
+    fn catalogue_names_each_path_and_family_once() {
+        let mut paths: Vec<&str> = METRICS.iter().map(|f| f.json).collect();
+        let mut families: Vec<&str> = METRICS.iter().map(|f| f.name()).collect();
+        for names in [&mut paths, &mut families] {
+            let n = names.len();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), n, "a name appears twice: {names:?}");
+        }
+        for family in METRICS {
+            assert!(family.name().starts_with("asterix_"), "{}", family.prom);
+            let placeholders = family.json.matches(['<', '[']).count();
+            assert_eq!(placeholders, family.labels().count(), "{}", family.json);
+        }
+    }
+
+    /// Every family of a populated snapshot lands at its JSON path, and
+    /// its first sample's value there is the one Prometheus reports.
+    #[test]
+    fn json_and_prometheus_agree_on_every_family() {
+        let m = populated_snapshot();
+        let json = m.to_json();
+        let prom = m.to_prometheus();
+        for family in METRICS {
+            let at = resolve(&json, family.json)
+                .unwrap_or_else(|| panic!("no JSON value at {}", family.json));
+            assert!(prom.contains(&format!("# TYPE {} ", family.name())));
+            let (value, suffix) = match at {
+                Value::Int64(v) => (v.to_string(), ""),
+                Value::Double(v) => (v.0.to_string(), ""),
+                Value::Boolean(b) => (u8::from(*b).to_string(), ""),
+                hist => (hist.field("count").as_i64().unwrap().to_string(), "_count"),
+            };
+            let series = format!("{}{suffix}", family.name());
+            assert!(
+                prom.lines().any(|l| l.starts_with(&series)
+                    && l[series.len()..].starts_with(['{', ' '])
+                    && l.ends_with(&format!(" {value}"))),
+                "{}: no series {series} reads {value}",
+                family.json
+            );
         }
     }
 
@@ -1661,7 +1479,6 @@ mod tests {
             4,
         );
         let text = t.snapshot(InstanceGauges::default()).to_prometheus();
-        assert!(text.contains("asterix_telemetry_enabled 1"));
         assert!(text
             .contains("asterix_queries_total{class=\"index-select\",outcome=\"completed\"} 1"));
         assert!(text.contains("asterix_query_latency_us{class=\"index-select\",quantile=\"0.5\"}"));
@@ -1670,10 +1487,10 @@ mod tests {
         assert!(text.contains("asterix_queries_total{class=\"scan\",outcome=\"completed\"} 0"));
     }
 
-    /// A populated exposition to run the conformance checks against:
+    /// A populated snapshot to run the conformance checks against:
     /// nonzero class counters, operator histograms, partitions, and a
     /// dataset gauge so every family emits at least one sample.
-    fn populated_prometheus() -> String {
+    fn populated_snapshot() -> MetricsSnapshot {
         let t = Telemetry::new(&TelemetryConfig::default(), 2);
         t.record_query(
             QueryClass::Scan,
@@ -1683,6 +1500,7 @@ mod tests {
             3,
         );
         let gauges = InstanceGauges {
+            buffer_cache: CacheStats { hits: 5, misses: 3, evictions: 1 },
             datasets: vec![DatasetGauges {
                 dataset: "ARevs".into(),
                 indexes: vec![IndexGauge {
@@ -1691,9 +1509,23 @@ mod tests {
                     size_bytes: 4096,
                 }],
             }],
+            durability: crate::durability::DurabilityGauges {
+                enabled: true,
+                wal_bytes: 123,
+                ..Default::default()
+            },
+            plan_cache_hits: 2,
             ..InstanceGauges::default()
         };
-        t.snapshot(gauges).to_prometheus()
+        let mut m = t.snapshot(gauges);
+        let exec = Histogram::default();
+        exec.record_us(40);
+        m.operators = vec![("data-scan".into(), exec.snapshot())];
+        m
+    }
+
+    fn populated_prometheus() -> String {
+        populated_snapshot().to_prometheus()
     }
 
     #[test]
@@ -1797,13 +1629,12 @@ mod tests {
         // Each top-level key of `metrics_snapshot()` has at least one
         // corresponding family in the Prometheus rendering.
         for (json_key, family) in [
-            ("telemetry_enabled", "asterix_telemetry_enabled"),
             ("uptime_us", "asterix_uptime_us"),
             ("queries_by_class", "asterix_queries_total"),
             ("compile_errors", "asterix_compile_errors_total"),
             ("operators", "asterix_operator_exec_us"),
             ("partitions", "asterix_partition_busy_us"),
-            ("scheduler", "asterix_scheduler_enabled"),
+            ("scheduler", "asterix_scheduler_workers"),
             ("storage", "asterix_postings_cache_hits_total"),
             ("plan_cache", "asterix_plan_cache_hits_total"),
             ("lsm", "asterix_lsm_flushes_total"),

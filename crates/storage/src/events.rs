@@ -3,8 +3,8 @@
 //! Flushes, merges, and bulk loads are the background heartbeat of an
 //! LSM-based instance: most operational mysteries ("why did p99 spike at
 //! 14:32?") resolve to "a merge was running". The [`LsmEventLog`] records
-//! every lifecycle transition — start and end, with bytes, component
-//! count, and component generation — into a fixed-capacity ring so an
+//! every lifecycle transition — start and end, with bytes and component
+//! count, ordered by a global sequence number — into a fixed-capacity ring so an
 //! operator can always see the *recent* history without the log growing
 //! with uptime. Fault retries from the [`crate::fault::FaultInjector`]
 //! path are recorded here too, so transient-I/O storms show up next to
@@ -87,9 +87,6 @@ pub struct LsmEvent {
     pub bytes: u64,
     /// Disk component count after the event.
     pub components: u64,
-    /// LSM generation after the event (bumped by every mutation and
-    /// structural change, so events order against the writes between them).
-    pub generation: u64,
     /// Free-form context (fault description for `FaultRetry`).
     pub detail: Option<String>,
 }
@@ -135,7 +132,6 @@ impl LsmEventLog {
         kind: LsmEventKind,
         bytes: u64,
         components: u64,
-        generation: u64,
         detail: Option<String>,
     ) {
         let at_us = self.t0.elapsed().as_micros() as u64;
@@ -153,7 +149,6 @@ impl LsmEventLog {
             kind,
             bytes,
             components,
-            generation,
             detail,
         });
     }
@@ -198,7 +193,7 @@ mod tests {
         let log = LsmEventLog::new(4);
         let t = tag("ds/p0/<primary>");
         for i in 0..10u64 {
-            log.record(&t, LsmEventKind::FlushEnd, i, 1, i, None);
+            log.record(&t, LsmEventKind::FlushEnd, i, 1, None);
         }
         let events = log.snapshot();
         assert_eq!(events.len(), 4);
@@ -219,7 +214,7 @@ mod tests {
                 s.spawn(move || {
                     let tag: Arc<str> = Arc::from(format!("ds/p{t}/<primary>"));
                     for i in 0..100u64 {
-                        log.record(&tag, LsmEventKind::MergeEnd, i, 1, i, None);
+                        log.record(&tag, LsmEventKind::MergeEnd, i, 1, None);
                     }
                 });
             }
@@ -238,8 +233,8 @@ mod tests {
     fn capacity_of_zero_is_clamped_to_one() {
         let log = LsmEventLog::new(0);
         let t = tag("x");
-        log.record(&t, LsmEventKind::BulkLoadStart, 0, 0, 0, None);
-        log.record(&t, LsmEventKind::BulkLoadEnd, 5, 1, 1, None);
+        log.record(&t, LsmEventKind::BulkLoadStart, 0, 0, None);
+        log.record(&t, LsmEventKind::BulkLoadEnd, 5, 1, None);
         assert_eq!(log.len(), 1);
         assert_eq!(log.snapshot()[0].kind, LsmEventKind::BulkLoadEnd);
     }

@@ -39,10 +39,6 @@ pub struct LsmTree {
     /// Lifetime counters for observability.
     flushes: u64,
     merges: u64,
-    /// Bumped on every mutation (put/delete/flush/merge/bulk-load) and
-    /// stamped onto lifecycle events, which orders them against the
-    /// writes between them.
-    generation: u64,
     /// Identity stamped onto lifecycle events (`dataset/p0/<primary>`);
     /// empty until [`LsmTree::set_tag`] is called.
     tag: Arc<str>,
@@ -64,7 +60,6 @@ impl LsmTree {
             config,
             flushes: 0,
             merges: 0,
-            generation: 0,
             tag: Arc::from(""),
             obsolete: Vec::new(),
         }
@@ -84,7 +79,6 @@ impl LsmTree {
                 kind,
                 bytes,
                 self.disk_components.len() as u64,
-                self.generation,
                 None,
             );
         }
@@ -93,7 +87,6 @@ impl LsmTree {
     /// Insert or overwrite. May trigger a flush (and thus fail) when the
     /// memory budget is exceeded; the write itself is already applied.
     pub fn put(&mut self, key: Value, value: Bytes) -> Result<(), IoError> {
-        self.generation += 1;
         self.mem_bytes += key.heap_size() + value.len() + 16;
         self.mem.insert(key, Entry::Put(value));
         self.maybe_flush()
@@ -101,7 +94,6 @@ impl LsmTree {
 
     /// Delete (tombstone).
     pub fn delete(&mut self, key: Value) -> Result<(), IoError> {
-        self.generation += 1;
         self.mem_bytes += key.heap_size() + 16;
         self.mem.insert(key, Entry::Tombstone);
         self.maybe_flush()
@@ -207,7 +199,6 @@ impl LsmTree {
         self.mem_bytes = 0;
         self.disk_components.insert(0, comp);
         self.flushes += 1;
-        self.generation += 1;
         self.emit(LsmEventKind::FlushEnd, flushed_bytes);
         self.maybe_merge()
     }
@@ -275,7 +266,6 @@ impl LsmTree {
             }
         }
         self.merges += 1;
-        self.generation += 1;
         self.emit(
             LsmEventKind::MergeEnd,
             self.disk_components
@@ -305,7 +295,6 @@ impl LsmTree {
         )?;
         let loaded_bytes = comp.byte_size();
         self.disk_components.push(comp);
-        self.generation += 1;
         self.emit(LsmEventKind::BulkLoadEnd, loaded_bytes);
         Ok(())
     }
@@ -371,7 +360,6 @@ impl LsmTree {
     pub fn restore_components(&mut self, components: Vec<RunComponent>) {
         debug_assert!(self.mem.is_empty(), "restore into a dirty tree");
         self.disk_components = components;
-        self.generation += 1;
     }
 
     /// Drain the files superseded since the last call (non-empty only
@@ -869,27 +857,5 @@ mod tests {
         let p1: Vec<_> = events.iter().filter(|e| &*e.tree == "ds/p1/<primary>").collect();
         assert_eq!(p1.len(), 1);
         assert_eq!(p1[0].kind, LsmEventKind::FlushStart);
-    }
-
-    #[test]
-    fn generation_bumps_on_every_mutation() {
-        let mut t = tree(StorageConfig::tiny());
-        let g0 = t.generation;
-        t.put(Value::Int64(1), b("one")).unwrap();
-        let g1 = t.generation;
-        assert!(g1 > g0);
-        t.delete(Value::Int64(1)).unwrap();
-        let g2 = t.generation;
-        assert!(g2 > g1);
-        t.put(Value::Int64(2), b("two")).unwrap();
-        t.flush().unwrap();
-        let g3 = t.generation;
-        assert!(g3 > g2);
-        t.flush().unwrap(); // empty flush: no component, but harmless
-        t.put(Value::Int64(3), b("three")).unwrap();
-        t.flush().unwrap();
-        let g4 = t.generation;
-        t.merge_all().unwrap();
-        assert!(t.generation > g4);
     }
 }

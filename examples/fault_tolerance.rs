@@ -37,7 +37,9 @@ fn scan_only(timeout: Option<Duration>) -> QueryOptions {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = Instance::new(InstanceConfig::with_partitions(2));
     db.create_dataset("ARevs", "id")?;
-    db.load("ARevs", amazon_reviews(400, 77))?;
+    // 2 000 records: enough that the self-join outlasts the 150 ms
+    // deadline of step 1 even in a release build.
+    db.load("ARevs", amazon_reviews(2_000, 77))?;
     println!("loaded {} records over 2 partitions", db.count_records("ARevs")?);
 
     // 1. Deadline: the self-join cannot finish in 150 ms; the engine
@@ -57,7 +59,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let db = Arc::clone(&db);
         std::thread::spawn(move || db.query_with(SLOW_JOIN, &scan_only(None)))
     };
+    // Spin until the job has installed its cancel token; a worker that
+    // finishes first would leave nothing to cancel.
     while !db.cluster().cancel_active() {
+        assert!(
+            !worker.is_finished(),
+            "the self-join finished before it could be cancelled"
+        );
         std::thread::sleep(Duration::from_millis(2));
     }
     match worker.join().expect("worker must not panic") {

@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", db.metrics_prometheus());
 
     // Surface 3: the slow-query log, with the captured plan + span tree.
-    let telemetry = db.telemetry().expect("telemetry is on by default");
+    let telemetry = db.telemetry();
     for slow in telemetry.slow_queries() {
         println!(
             "=== slow query #{} ({}, {:?}) ===\n{}\n",
@@ -92,18 +92,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The lifecycle event ring: flush/merge/bulk-load brackets with byte
-    // counts and component generations.
+    // and component counts, ordered by sequence number.
     let events = telemetry.event_log().snapshot();
     println!("\n=== LSM lifecycle events ({} recorded) ===", telemetry.event_log().total_recorded());
     for e in events.iter().rev().take(10) {
         println!(
-            "  #{} {} {} bytes={} components={} gen={}",
+            "  #{} {} {} bytes={} components={}",
             e.seq,
             e.tree,
             e.kind.name(),
             e.bytes,
-            e.components,
-            e.generation
+            e.components
         );
     }
     Ok(())

@@ -1,8 +1,8 @@
 //! Documentation gates: `docs/API.md` must cover every route the server
-//! actually dispatches (and every mounted admin route), and no markdown
-//! file in the repo may carry a broken relative link. CI runs these as
-//! part of the server test target, so the reference cannot drift from
-//! the router.
+//! actually dispatches (and every mounted admin route), docs/REFERENCE.md's
+//! metrics table must be the metric catalogue, and no markdown file in the
+//! repo may carry a broken relative link. CI runs these as part of the
+//! server test target, so the references cannot drift from the code.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -68,6 +68,45 @@ fn api_reference_covers_every_route() {
             "docs/API.md error table is missing `{code}`"
         );
     }
+}
+
+/// docs/REFERENCE.md's "Metrics keys" table is the metric catalogue:
+/// one row per `asterix_core::telemetry::METRICS` family, with its JSON
+/// path, Prometheus family, kind and help, and no row the catalogue
+/// lacks.
+#[test]
+fn reference_metrics_table_matches_the_catalogue() {
+    let reference = fs::read_to_string(repo_root().join("docs/REFERENCE.md")).unwrap();
+    let section = reference
+        .split("## Metrics keys")
+        .nth(1)
+        .expect("docs/REFERENCE.md has a Metrics keys section");
+    let section = section.split("\n## ").next().unwrap();
+    // Table rows whose first cell is a code span: the header and its
+    // rule are not rows.
+    let documented: Vec<&str> = section
+        .lines()
+        .filter(|l| l.starts_with("| `"))
+        .collect();
+    let catalogue: Vec<String> = asterix_core::telemetry::METRICS
+        .iter()
+        .map(|f| format!("| `{}` | `{}` | {} | {} |", f.json, f.prom, f.kind.name(), f.help))
+        .collect();
+    let missing: Vec<&String> = catalogue
+        .iter()
+        .filter(|row| !documented.contains(&row.as_str()))
+        .collect();
+    let extra: Vec<&&str> = documented
+        .iter()
+        .filter(|row| !catalogue.iter().any(|c| c == **row))
+        .collect();
+    assert!(
+        missing.is_empty() && extra.is_empty(),
+        "docs/REFERENCE.md Metrics keys table differs from the catalogue.\n\
+         missing or changed rows:\n{}\nrows the catalogue lacks:\n{}",
+        missing.iter().map(|r| r.as_str()).collect::<Vec<_>>().join("\n"),
+        extra.iter().map(|r| **r).collect::<Vec<_>>().join("\n"),
+    );
 }
 
 #[test]

@@ -25,7 +25,7 @@ use asterix_core::{
 use asterix_adm::Value;
 use asterix_datagen::amazon_reviews;
 use asterix_hyracks::ExecError;
-use scheduler_support::{instance_with, matrix, RECORDS};
+use scheduler_support::{instance_with, matrix, ED_PROBE, JACCARD_PROBE, RECORDS};
 use std::time::{Duration, Instant};
 
 /// The matrix query `name`'s answer, computed from the loaded records
@@ -42,10 +42,10 @@ fn brute_force(name: &str) -> Vec<Value> {
         "scan" => ids(&|r| id(r) < 50),
         "count" => vec![Value::Int64(records.iter().filter(|r| id(r) < 100).count() as i64)],
         "jaccard-select" => {
-            let q = word_tokens("caho gonaha");
+            let q = word_tokens(JACCARD_PROBE);
             ids(&|r| jaccard(&word_tokens(&text(r, "summary")), &q) >= 0.3)
         }
-        "ed-select" => ids(&|r| edit_distance(&text(r, "reviewerName"), "gubimo") <= 2),
+        "ed-select" => ids(&|r| edit_distance(&text(r, "reviewerName"), ED_PROBE) <= 2),
         "jaccard-join" => {
             let mut out = Vec::new();
             for o in records.iter().filter(|o| id(o) < 30) {
@@ -85,6 +85,9 @@ fn pooled_results_match_unbounded_for_query_class_matrix() {
         keyed
     };
     for (name, q) in matrix() {
+        let expected = brute_force(name);
+        // An empty answer would let a path that returns nothing pass.
+        assert!(!expected.is_empty(), "{name}: the brute-force answer is empty");
         let a = eight.query(&q).unwrap_or_else(|e| panic!("{name} 8 workers: {e}"));
         let b = one.query(&q).unwrap_or_else(|e| panic!("{name} 1 worker: {e}"));
         assert_eq!(
@@ -94,13 +97,19 @@ fn pooled_results_match_unbounded_for_query_class_matrix() {
         );
         assert_eq!(
             sorted(&a.rows),
-            sorted(&brute_force(name)),
+            sorted(&expected),
             "{name}: rows must equal the brute-force answer"
         );
         assert_eq!(
             a.plan.rewrites, b.plan.rewrites,
             "{name}: both pools must run the same plan"
         );
+        if name.ends_with("-select") {
+            assert!(
+                a.plan.used_rule("introduce-index-for-selection"),
+                "{name}: must take the index-select path"
+            );
+        }
     }
 }
 
@@ -348,7 +357,7 @@ fn queue_wait_histogram_lands_in_snapshot_json() {
         assert!(json.contains(key), "metrics JSON missing {key}");
     }
     let prom = db.metrics_prometheus();
-    assert!(prom.contains("asterix_scheduler_enabled 1"));
+    assert!(prom.contains("asterix_scheduler_workers 8"));
     assert!(prom.contains("asterix_scheduler_admitted_total"));
     assert!(prom.contains("asterix_scheduler_queue_wait_us_count"));
     let snap = db.metrics().gauges.scheduler;

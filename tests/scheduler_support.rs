@@ -6,6 +6,14 @@ use asterix_datagen::amazon_reviews;
 
 pub const RECORDS: usize = 600;
 
+/// The index-select probes are field values of loaded records of
+/// `amazon_reviews(RECORDS, 7)`, so each answer has rows: record 2's
+/// `summary` for `jaccard-select`, record 5's `reviewerName` for
+/// `ed-select`.
+pub const JACCARD_PROBE: &str = "zufuzo pucupi luhepu";
+/// See [`JACCARD_PROBE`].
+pub const ED_PROBE: &str = "sonmugu";
+
 pub fn instance_with(sched: SchedulerConfig) -> Instance {
     let mut cfg = InstanceConfig::with_partitions(2);
     cfg.scheduler = sched;
@@ -34,17 +42,20 @@ pub fn matrix() -> Vec<(&'static str, String)> {
         ),
         (
             "jaccard-select",
-            "for $t in dataset ARevs \
-             where similarity-jaccard(word-tokens($t.summary), word-tokens('caho gonaha')) >= 0.3 \
-             return $t.id"
-                .to_string(),
+            format!(
+                "for $t in dataset ARevs \
+                 where similarity-jaccard(word-tokens($t.summary), word-tokens('{JACCARD_PROBE}')) \
+                   >= 0.3 \
+                 return $t.id"
+            ),
         ),
         (
             "ed-select",
-            "for $t in dataset ARevs \
-             where edit-distance($t.reviewerName, 'gubimo') <= 2 \
-             return $t.id"
-                .to_string(),
+            format!(
+                "for $t in dataset ARevs \
+                 where edit-distance($t.reviewerName, '{ED_PROBE}') <= 2 \
+                 return $t.id"
+            ),
         ),
         (
             "jaccard-join",

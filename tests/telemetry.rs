@@ -1,12 +1,11 @@
 //! Instance-wide telemetry: per-class histograms account for every query
 //! under concurrency, tracing spans form well-nested trees per query,
 //! the LSM lifecycle event ring never loses the newest K events, the
-//! slow-query log captures the full plan + profile, and the disable
-//! switch turns everything off without affecting query results.
+//! and the slow-query log captures the full plan + profile.
 
-use asterix_adm::{record, IndexKind, Value};
+use asterix_adm::{record, IndexKind};
 use asterix_core::{
-    Instance, InstanceConfig, QueryClass, QueryOptions, TelemetryConfig,
+    Instance, InstanceConfig, QueryClass, QueryOptions,
 };
 use asterix_datagen::amazon_reviews;
 use asterix_storage::{FaultInjector, FaultRule, IoOp, SpanRecord};
@@ -140,7 +139,7 @@ fn concurrent_queries_and_flushes_account_exactly() {
 
     // The flush churn left lifecycle events in the bounded ring; the ring
     // never exceeds its capacity and never loses the newest events.
-    let log = db.telemetry().unwrap().event_log().clone();
+    let log = db.telemetry().event_log().clone();
     let events = log.snapshot();
     assert!(log.total_recorded() > 0);
     assert!(events.len() <= 16);
@@ -173,7 +172,7 @@ fn event_ring_retains_newest_k_under_concurrency() {
             });
         }
     });
-    let log = db.telemetry().expect("telemetry on").event_log().clone();
+    let log = db.telemetry().event_log().clone();
     let events = log.snapshot();
     let recorded = log.total_recorded();
     assert!(recorded >= 8, "flush churn must have recorded events");
@@ -255,7 +254,7 @@ fn span_trees_well_nested_per_query_under_concurrency() {
             s.spawn(move || db.query_with(SELECT_Q, opts).unwrap());
         }
     });
-    let slow = db.telemetry().unwrap().slow_queries();
+    let slow = db.telemetry().slow_queries();
     assert_eq!(slow.len(), 3, "every forced-threshold query is captured");
     for entry in &slow {
         assert_well_nested(&entry.spans);
@@ -268,7 +267,7 @@ fn span_trees_well_nested_per_query_under_concurrency() {
 fn slow_query_log_captures_plan_and_profile() {
     let db = reviews_instance(150);
     db.query(SCAN_Q).unwrap(); // default 250ms threshold: not captured
-    assert!(db.telemetry().unwrap().slow_queries().is_empty());
+    assert!(db.telemetry().slow_queries().is_empty());
 
     let r = db
         .query_with(
@@ -279,7 +278,7 @@ fn slow_query_log_captures_plan_and_profile() {
             },
         )
         .unwrap();
-    let slow = db.telemetry().unwrap().slow_queries();
+    let slow = db.telemetry().slow_queries();
     assert_eq!(slow.len(), 1);
     let entry = &slow[0];
     assert_eq!(entry.query, SELECT_Q);
@@ -296,38 +295,6 @@ fn slow_query_log_captures_plan_and_profile() {
     let json = asterix_adm::json::to_string(&db.metrics_snapshot());
     assert!(json.contains("secondary-index-search"));
     assert!(json.contains("post_verification_survivors"));
-}
-
-/// `TelemetryConfig::off()`: queries behave identically, no registry, no
-/// spans, no event ring, and the snapshot says so.
-#[test]
-fn disable_switch_turns_everything_off() {
-    let config = InstanceConfig {
-        telemetry: TelemetryConfig::off(),
-        ..InstanceConfig::with_partitions(2)
-    };
-    let db = Instance::new(config);
-    db.create_dataset("ARevs", "id").unwrap();
-    db.load("ARevs", amazon_reviews(80, 42)).unwrap();
-    let r = db.query(SCAN_Q).unwrap();
-    assert_eq!(r.rows.len(), 80);
-    assert!(db.telemetry().is_none());
-    assert!(!db.metrics().enabled);
-    let json = asterix_adm::json::to_string(&db.metrics_snapshot());
-    assert!(json.contains("\"telemetry_enabled\":false"), "{json}");
-    assert_eq!(db.metrics_prometheus().trim().lines().last().unwrap(), "asterix_telemetry_enabled 0");
-    // A profile is still available on demand — profiling does not depend
-    // on telemetry.
-    let r = db
-        .query_with(
-            SCAN_Q,
-            &QueryOptions {
-                profile: true,
-                ..QueryOptions::default()
-            },
-        )
-        .unwrap();
-    assert!(r.profile.is_some());
 }
 
 /// Failed and timed-out queries are counted under their outcome, and
@@ -370,7 +337,7 @@ fn fault_retries_land_in_event_ring() {
     db.partition_cache(0).disk().set_fault_injector(injector.clone());
     db.flush("ARevs").unwrap();
     assert_eq!(injector.faults_injected(), 1);
-    let events = db.telemetry().unwrap().event_log().snapshot();
+    let events = db.telemetry().event_log().snapshot();
     let retry = events
         .iter()
         .find(|e| e.kind.name() == "fault_retry")
@@ -406,7 +373,7 @@ fn snapshot_gauges_reflect_workload() {
     // JSON round-trips through the ADM parser.
     let parsed = asterix_adm::json::parse(&asterix_adm::json::to_string(&m.to_json()))
         .expect("snapshot JSON parses");
-    assert_eq!(parsed.field("telemetry_enabled"), &Value::Boolean(true));
+    assert!(parsed.field("uptime_us").as_i64().is_some());
     // Prometheus text has the class series.
     let prom = db.metrics_prometheus();
     assert!(prom.contains("asterix_queries_total{class=\"index-select\",outcome=\"completed\"} 2"));
